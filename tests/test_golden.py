@@ -1,0 +1,51 @@
+"""Golden outputs: the shipped-config CSVs must keep their exact bytes.
+
+Refactors of the engine are meant to leave every number unchanged, so each
+CSV's sha256 is compared with the digest in ``golden_outputs.json``.  Float
+results can move in the last bit across numpy/scipy releases, so the test
+skips when the installed versions differ from the ones the digests were
+recorded with.  Each run is a fresh process with BLAS pinned to one thread:
+multithreaded BLAS reductions round differently with the thread count (the
+``dual`` tolerance column shows it), and the digests are single-threaded.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
+SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+RUNS = {
+    "converge": ["converge", "--config", "configs/converge_atm.cfg", "--paths", "2000"],
+    "hedge": ["hedge", "--config", "configs/hedge_atm.cfg"],
+    "dual": ["dual", "--config", "configs/dual_atm.cfg"],
+    "figure": ["figure", "--config", "configs/figure1.cfg"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_csv_bytes_match_golden(name, tmp_path):
+    versions = (np.__version__, scipy.__version__)
+    if versions != (GOLDEN["numpy"], GOLDEN["scipy"]):
+        pytest.skip(
+            f"digests recorded with numpy {GOLDEN['numpy']} / scipy {GOLDEN['scipy']}, "
+            f"running numpy {versions[0]} / scipy {versions[1]}"
+        )
+    out = tmp_path / f"{name}.csv"
+    env = {**os.environ, **SINGLE_THREAD}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "bachimpact.cli", *RUNS[name], "--out", str(out), "--quiet"],
+        cwd=ROOT, env=env, check=True,
+    )
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN["sha256"][name], f"{name} CSV bytes changed"
