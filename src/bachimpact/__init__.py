@@ -23,20 +23,15 @@ from .linalg import (
     make_spd,
     mat_exp,
     quad_form,
-    ratio_function,
     row_vec_mul,
 )
 from .market import (
     BachelierModel,
     BasketCall,
     GenericLipschitz,
-    ImpactParams,
     Payoff,
-    SimulatedPath,
     TimeGrid,
     brownian_increments,
-    payoff_eval,
-    simulate_paths,
     sup_convolve,
     sup_convolve_argmax,
     sup_convolve_argmax_batch,
@@ -55,11 +50,10 @@ from .pricing import (
 )
 from .hedging import (
     HedgeBatch,
-    HedgeResult,
+    HedgePaths,
     auto_n_steps,
-    bound_check,
     duhamel_solution,
-    integrate_strategy,
+    hedge_paths,
     position_bound,
     run_hedge_batch,
     step_matrix,

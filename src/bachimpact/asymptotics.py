@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from .errors import (
@@ -28,6 +27,7 @@ from .market import (
     BachelierModel,
     Payoff,
     TimeGrid,
+    antithetic_normals,
     sup_convolve_argmax_batch,
     zero_payoff,
 )
@@ -213,9 +213,7 @@ def dual_lower_bound(
         return value, abs(value - coarse)
 
     n_samples = int(n_samples_or_rule) if n_samples_or_rule else 100_000
-    rng = Generator(Philox(key=np.array([seed, 0xD0A1], dtype=np.uint64)))
-    half = rng.standard_normal((n_samples // 2, model.d))
-    z = np.vstack([half, -half])
+    z = antithetic_normals((seed, 0xD0A1), n_samples // 2, model.d)
     terms = _dual_terms(a_risk, model, payoff, phi0, spec, math.sqrt(model.T) * z)
     return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
 

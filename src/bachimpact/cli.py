@@ -151,12 +151,6 @@ def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Certainty equivalent across the impact list against the limit value."""
     rule = _resolve_rule(cfg)
     limit = pricing.limit_value(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, rule)
-    bound_c = hedging.position_bound(cfg.payoff, cfg.phi0)
-    from .linalg import inverse, row_vec_mul
-
-    mu_siginv_norm = float(
-        np.linalg.norm(row_vec_mul(cfg.model.mu, inverse(cfg.model.sigma).entries))
-    )
     rows = []
     resolved = {}
     p = cfg.precision
@@ -167,7 +161,7 @@ def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
             cfg.a_risk, lam, cfg.model, cfg.payoff, cfg.phi0,
             cfg.n_paths, grid, cfg.seed, rule, workers=cfg.workers,
         )
-        slack = (lam / math.sqrt(cfg.a_risk)) * 2.0 * bound_c * cfg.model.T * mu_siginv_norm
+        slack = hedging.drift_slack(cfg.a_risk, lam, cfg.model, cfg.payoff, cfg.phi0)
         rows.append(
             ",".join(
                 [
@@ -300,20 +294,13 @@ def _check_items(cfg: ExperimentConfig):
 
     grid = market.TimeGrid(n_steps=64, T=model.T)
     theta = rng.normal(size=(64, model.d))
-    path = market.simulate_paths(model, grid, 1, cfg.seed)[0]
-    frozen = hedging.integrate_strategy(
-        a_risk, lam0, model, payoff, path, cfg.phi0, rule, theta_override=theta
-    )
+    frozen = hedging.hedge_paths(a_risk, lam0, model, payoff, cfg.phi0, grid, 1, cfg.seed, theta)
     oracle = hedging.duhamel_solution(a_risk, lam0, model, theta, cfg.phi0, grid)
-    ode_gap = np.abs(frozen.phi_positions - oracle).max()
+    ode_gap = np.abs(frozen.positions[0] - oracle).max()
     yield "ode_duhamel_agreement", ode_gap < 1e-10, f"max gap={ode_gap:.2e}"
 
-    w_gap = abs(
-        hedging.wealth(path, frozen.phi_positions, frozen.phi_rates, lam0)
-        - hedging.wealth_by_parts(
-            path, frozen.phi_positions, frozen.phi_rates, lam0, cfg.phi0
-        )
-    )
+    knots = (frozen.prices[0], frozen.positions[0], frozen.rates[0], lam0, grid.dt)
+    w_gap = abs(hedging.wealth(*knots) - hedging.wealth_by_parts(*knots))
     yield "wealth_equivalence", w_gap < 0.5, f"|gap|={w_gap:.2e} at n=64"
 
     with warnings.catch_warnings():
@@ -334,11 +321,7 @@ def _check_items(cfg: ExperimentConfig):
             a_risk, lam0, model, payoff, cfg.phi0, 2000, grid_mc, cfg.seed, rule
         )
     limit = pricing.limit_value(a_risk, model, payoff, cfg.phi0, rule)
-    bound_c = hedging.position_bound(payoff, cfg.phi0)
-    mu_siginv = float(
-        np.linalg.norm(model.mu @ inverse(sigma).entries)
-    )
-    slack = (lam0 / math.sqrt(a_risk)) * 2.0 * bound_c * model.T * mu_siginv
+    slack = hedging.drift_slack(a_risk, lam0, model, payoff, cfg.phi0)
     upper_ok = est.value <= limit + slack + 3.0 * est.std_error + 0.02
     spec = asymptotics.optimal_dual_Y(a_risk, model, payoff, cfg.phi0)
     dual_val, dual_tol = asymptotics.dual_lower_bound(

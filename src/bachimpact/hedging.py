@@ -1,6 +1,6 @@
-"""Tracking hedge along simulated paths: stiff-ODE integration, wealth with
-quadratic trading costs, and the supermartingale diagnostics that certify the
-upper bound of the scaling limit.
+"""Tracking hedge along simulated paths: one vectorised engine for the
+stiff-ODE integration, wealth with quadratic trading costs and the
+supermartingale diagnostics that certify the upper bound of the scaling limit.
 
 The position follows the relaxation ODE
 
@@ -13,6 +13,10 @@ freeze the target per step and apply the exact frozen-coefficient solution
     Phi_{k+1} = Theta_k + (Phi_k - Theta_k) exp(-sqrt(A) h sigma / lam),
 
 which is unconditionally stable and exact whenever the target is constant.
+
+One loop, :func:`_hedge_chunk`, produces every hedge: :func:`run_hedge_batch`
+keeps terminal summaries, :func:`hedge_paths` also records every knot so the
+independent references below (Duhamel, wealth, tracking target) can check it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .market import (
     BachelierModel,
     BasketCall,
     Payoff,
-    SimulatedPath,
     TimeGrid,
     _sup_convolve_batch,
     brownian_increments,
@@ -45,19 +48,6 @@ DEFAULT_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
-class HedgeResult:
-    """Per-path outcome of the tracking strategy."""
-
-    phi_positions: np.ndarray  # (n+1, d) positions at the knots
-    phi_rates: np.ndarray  # (n, d) trading rates per step
-    terminal_wealth: float
-    payoff_value: float
-    utility_exponent: float  # (A/lam) * (payoff - wealth)
-    cost_integral: float  # (lam/2) * int ||rate||^2 dt
-    sup_position_norm: float
-
-
-@dataclass(frozen=True)
 class HedgeBatch:
     """Vectorised terminal summary over a block of paths."""
 
@@ -65,9 +55,25 @@ class HedgeBatch:
     phi_terminal: np.ndarray  # (n_paths, d)
     terminal_wealth: np.ndarray  # (n_paths,)
     payoff_value: np.ndarray  # (n_paths,)
-    utility_exponent: np.ndarray  # (n_paths,)
-    cost_integral: np.ndarray  # (n_paths,)
+    utility_exponent: np.ndarray  # (n_paths,) (A/lam) * (payoff - wealth)
+    cost_integral: np.ndarray  # (n_paths,) (lam/2) * int ||rate||^2 dt
     sup_position_norm: np.ndarray  # (n_paths,)
+
+
+@dataclass(frozen=True)
+class HedgePaths:
+    """Every knot of a block of hedged paths, as the batch engine stepped them.
+
+    Step k holds the target frozen over [t_k, t_{k+1}] and the step's
+    average trading rate; ``batch`` is the terminal summary.
+    """
+
+    grid: TimeGrid
+    prices: np.ndarray  # (n_paths, n+1, d)
+    positions: np.ndarray  # (n_paths, n+1, d)
+    rates: np.ndarray  # (n_paths, n, d)
+    targets: np.ndarray  # (n_paths, n, d)
+    batch: HedgeBatch
 
 
 def auto_n_steps(a_risk: float, lam: float, model: BachelierModel) -> int:
@@ -116,66 +122,6 @@ def tracking_target(
     return delta_u(a_risk, model, payoff, t, shifted, rule)
 
 
-def integrate_strategy(
-    a_risk: float,
-    lam: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    path: SimulatedPath,
-    phi0,
-    rule: Optional[QuadratureRule] = None,
-    theta_override: Optional[np.ndarray] = None,
-) -> HedgeResult:
-    """Run the tracking hedge along one simulated path.
-
-    Per step the target is frozen at the left endpoint and the exact
-    relaxation step applied; the reported rate is the step's average rate.
-    The last step freezes the target at t_{n-1} (the gradient degenerates at
-    maturity) and the terminal instantaneous rate is taken to be zero.
-    ``theta_override`` (n, d) replaces the live targets, which turns the
-    integrator into the frozen-coefficient solution that
-    :func:`duhamel_solution` reproduces independently.
-    """
-    if lam <= 0.0:
-        raise InvalidParameterError("lam must be positive")
-    grid = path.grid
-    n, d = grid.n_steps, model.d
-    h = grid.dt
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    if phi0.shape != (d,):
-        raise DimensionMismatchError(f"phi0 must have length {d}")
-    relax = step_matrix(a_risk, lam, model.sigma, h)
-
-    positions = np.empty((n + 1, d))
-    rates = np.empty((n, d))
-    positions[0] = phi0
-    wealth_acc = 0.0
-    cost_acc = 0.0
-    for k in range(n):
-        if theta_override is not None:
-            theta = theta_override[k]
-        else:
-            theta = tracking_target(
-                a_risk, model, payoff, grid.knots[k], path.s[k], positions[k], rule
-            )
-        positions[k + 1] = theta + (positions[k] - theta) @ relax
-        rates[k] = (positions[k + 1] - positions[k]) / h
-        wealth_acc += float(positions[k] @ (path.s[k + 1] - path.s[k]))
-        cost_acc += float(rates[k] @ rates[k]) * h
-    cost_integral = 0.5 * lam * cost_acc
-    terminal_wealth = wealth_acc - cost_integral
-    payoff_value = float(payoff.evaluate(path.s[-1]))
-    return HedgeResult(
-        phi_positions=positions,
-        phi_rates=rates,
-        terminal_wealth=terminal_wealth,
-        payoff_value=payoff_value,
-        utility_exponent=(a_risk / lam) * (payoff_value - terminal_wealth),
-        cost_integral=cost_integral,
-        sup_position_norm=float(np.max(np.linalg.norm(positions, axis=1))),
-    )
-
-
 def duhamel_solution(
     a_risk: float,
     lam: float,
@@ -186,9 +132,9 @@ def duhamel_solution(
 ) -> np.ndarray:
     """Convolution solution of the relaxation ODE for piecewise-constant targets.
 
-    Independent oracle for the integrator: the homogeneous decay of the
-    initial position plus exact per-step matrix-exponential weights on each
-    frozen target.  O(n^2) in the step count, intended for verification runs.
+    Independent oracle for the engine: the homogeneous decay of the initial
+    position plus exact per-step matrix-exponential weights on each frozen
+    target.  O(n^2) in the step count, intended for verification runs.
     """
     theta_path = np.asarray(theta_path, dtype=float)
     n, d = grid.n_steps, model.d
@@ -214,45 +160,40 @@ def duhamel_solution(
     return out
 
 
-def wealth(path: SimulatedPath, positions: np.ndarray, rates: np.ndarray, lam: float) -> float:
-    """Terminal wealth: left-point stochastic sum minus the quadratic cost.
-
-    Exact for the piecewise-constant-rate strategies the integrator produces.
-    """
+def _knot_arrays(prices, positions, rates) -> tuple:
+    prices = np.asarray(prices, dtype=float)
     positions = np.asarray(positions, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    n = path.grid.n_steps
+    n = prices.shape[0] - 1
     if positions.shape[0] != n + 1 or rates.shape[0] != n:
-        raise DimensionMismatchError("positions/rates do not match the path grid")
-    h = path.grid.dt
-    gains = float(np.sum(positions[:-1] * np.diff(path.s, axis=0)))
+        raise DimensionMismatchError("positions/rates do not match the price knots")
+    return prices, positions, rates
+
+
+def wealth(prices, positions, rates, lam: float, h: float) -> float:
+    """Terminal wealth: left-point stochastic sum minus the quadratic cost.
+
+    ``prices`` and ``positions`` are (n+1, d) knot values, ``rates`` the (n, d)
+    per-step trading rates on a grid of step ``h``.  Exact for the
+    piecewise-constant-rate strategies the engine produces.
+    """
+    prices, positions, rates = _knot_arrays(prices, positions, rates)
+    gains = float(np.sum(positions[:-1] * np.diff(prices, axis=0)))
     cost = 0.5 * lam * float(np.sum(rates * rates)) * h
     return gains - cost
 
 
-def wealth_by_parts(
-    path: SimulatedPath,
-    positions: np.ndarray,
-    rates: np.ndarray,
-    lam: float,
-    phi0,
-) -> float:
+def wealth_by_parts(prices, positions, rates, lam: float, h: float) -> float:
     """Terminal wealth via summation by parts against the terminal price.
 
     Equals :func:`wealth` in continuous time; the two discretisations differ
     by a Riemann-sum discrepancy that vanishes as the grid refines, which the
     property tests quantify.
     """
-    positions = np.asarray(positions, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    n = path.grid.n_steps
-    if positions.shape[0] != n + 1 or rates.shape[0] != n:
-        raise DimensionMismatchError("positions/rates do not match the path grid")
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    h = path.grid.dt
-    s_terminal = path.s[-1]
-    base = float(phi0 @ (s_terminal - path.s[0]))
-    gains = float(np.sum(rates * (s_terminal[None, :] - path.s[:-1])))
+    prices, positions, rates = _knot_arrays(prices, positions, rates)
+    s_terminal = prices[-1]
+    base = float(positions[0] @ (s_terminal - prices[0]))
+    gains = float(np.sum(rates * (s_terminal[None, :] - prices[:-1])))
     cost = 0.5 * lam * float(np.sum(rates * rates))
     return base + (gains - cost) * h
 
@@ -268,9 +209,15 @@ def position_bound(payoff: Payoff, phi0, margin: float = 1.0) -> float:
     return max(float(np.linalg.norm(phi0)), payoff.lipschitz_constant) + margin
 
 
-def bound_check(results, a_risk: float, model: BachelierModel, payoff: Payoff) -> float:
-    """Worst sup-norm of positions over a collection of hedge results."""
-    return max(r.sup_position_norm for r in results)
+def drift_slack(a_risk: float, lam: float, model: BachelierModel, payoff: Payoff, phi0) -> float:
+    """Allowance the price drift adds to the upper bound of the limit.
+
+    (lam / sqrt(A)) * 2 * C * T * ||mu sigma^{-1}|| with C the
+    :func:`position_bound`; zero for a driftless market.
+    """
+    mu_siginv_norm = float(np.linalg.norm(row_vec_mul(model.mu, inverse(model.sigma).entries)))
+    bound_c = position_bound(payoff, phi0)
+    return (lam / math.sqrt(a_risk)) * 2.0 * bound_c * model.T * mu_siginv_norm
 
 
 def supermartingale_exponent(
@@ -278,38 +225,33 @@ def supermartingale_exponent(
     lam: float,
     model: BachelierModel,
     payoff: Payoff,
-    path: SimulatedPath,
-    hedge: HedgeResult,
+    paths: HedgePaths,
     rule: Optional[QuadratureRule] = None,
 ) -> np.ndarray:
-    """Drift-corrected log of the certification process along one path.
+    """Drift-corrected log of the certification process, (n_paths, n+1).
 
-    At each knot: (A/lam) * (claim price at the shifted spot + inventory
-    value - wealth so far), corrected by -sqrt(A) <Phi_t - Phi_0, mu sigma^{-1}>
-    so the drift of the price does not break the supermartingale property.
-    Log domain throughout; the initial entry is (A/lam) times the limit value.
+    At each recorded knot: (A/lam) * (claim price at the shifted spot +
+    inventory value - wealth so far), corrected by
+    -sqrt(A) <Phi_t - Phi_0, mu sigma^{-1}> so the drift of the price does not
+    break the supermartingale property.  Log domain throughout; the initial
+    entry is (A/lam) times the limit value.
     """
-    grid = path.grid
-    n = grid.n_steps
-    h = grid.dt
     sqa = math.sqrt(a_risk)
+    sigma = model.sigma.entries
     mu_siginv = row_vec_mul(model.mu, inverse(model.sigma).entries)
-    positions = hedge.phi_positions
-    rates = hedge.phi_rates
-    out = np.empty(n + 1)
-    wealth_acc = 0.0
-    for k in range(n + 1):
-        t_k = grid.knots[k]
-        if k > 0:
-            step_gain = float(positions[k - 1] @ (path.s[k] - path.s[k - 1]))
-            step_cost = 0.5 * lam * float(rates[k - 1] @ rates[k - 1]) * h
-            wealth_acc += step_gain - step_cost
-        shifted = path.s[k] - sqa * row_vec_mul(positions[k], model.sigma.entries)
-        u_val = price_u(a_risk, model, payoff, t_k, shifted, rule)
-        inventory = 0.5 * sqa * quad_form(positions[k], model.sigma.entries)
-        correction = -sqa * float((positions[k] - positions[0]) @ mu_siginv)
-        out[k] = correction + (a_risk / lam) * (u_val + inventory - wealth_acc)
-    return out
+    prices, positions, rates = paths.prices, paths.positions, paths.rates
+    gains = np.einsum("pkj,pkj->pk", positions[:, :-1], np.diff(prices, axis=1))
+    costs = 0.5 * lam * np.einsum("pkj,pkj->pk", rates, rates) * paths.grid.dt
+    wealth_so_far = np.zeros(positions.shape[:2])
+    wealth_so_far[:, 1:] = np.cumsum(gains - costs, axis=1)
+    shifted = prices - sqa * (positions @ sigma)
+    u_vals = np.array([
+        [price_u(a_risk, model, payoff, t, x, rule) for t, x in zip(paths.grid.knots, row)]
+        for row in shifted
+    ])
+    inventory = 0.5 * sqa * np.einsum("pkj,jl,pkl->pk", positions, sigma, positions)
+    correction = -sqa * ((positions - positions[:, :1]) @ mu_siginv)
+    return correction + (a_risk / lam) * (u_vals + inventory - wealth_so_far)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +286,13 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None):
     return generic_target
 
 
-def _hedge_chunk(args) -> tuple:
+def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
+    """Paths ``start..stop-1`` through the tracking hedge: the one engine loop.
+
+    Returns the seven :class:`HedgeBatch` arrays, then (prices, positions,
+    rates, targets) at every knot if ``record`` is set, else None.
+    ``frozen_targets`` (n, d) replaces the live targets of every path.
+    """
     (a_risk, lam, model, payoff, phi0, n, h, seed, start, stop, rule) = args
     d = model.d
     m = stop - start
@@ -363,10 +311,17 @@ def _hedge_chunk(args) -> tuple:
     sup_norm = np.linalg.norm(phi, axis=1)
     mu_h = model.mu * h
     sigma_entries = model.sigma.entries
+    if record:
+        prices, positions = np.empty((m, n + 1, d)), np.empty((m, n + 1, d))
+        rates, targets = np.empty((m, n, d)), np.empty((m, n, d))
+        prices[:, 0], positions[:, 0] = s, phi
     for k in range(n):
         t_k = k * h
-        shifted = s - math.sqrt(a_risk) * (phi @ sigma_entries)
-        theta = target_fn(t_k, shifted)
+        if frozen_targets is None:
+            shifted = s - math.sqrt(a_risk) * (phi @ sigma_entries)
+            theta = target_fn(t_k, shifted)
+        else:
+            theta = frozen_targets[k]
         phi_new = theta + (phi - theta) @ relax
         rate = (phi_new - phi) / h
         ds = mu_h[None, :] + dw[:, k, :] @ sigma_entries
@@ -377,9 +332,13 @@ def _hedge_chunk(args) -> tuple:
         phi = phi_new
         s = s + ds
         np.maximum(sup_norm, np.linalg.norm(phi, axis=1), out=sup_norm)
+        if record:
+            prices[:, k + 1], positions[:, k + 1] = s, phi
+            rates[:, k], targets[:, k] = rate, theta
     f_t = np.asarray(payoff.evaluate(s), dtype=float)
     exponent = (a_risk / lam) * (f_t - v)
-    return s, phi, v, f_t, exponent, cost, sup_norm
+    knots = (prices, positions, rates, targets) if record else None
+    return s, phi, v, f_t, exponent, cost, sup_norm, knots
 
 
 def run_hedge_batch(
@@ -397,10 +356,9 @@ def run_hedge_batch(
 ) -> HedgeBatch:
     """Tracking hedge over many paths without materialising path objects.
 
-    Identical mathematics to :func:`integrate_strategy`, vectorised over
-    paths.  Paths are keyed substreams, chunk boundaries are fixed by
-    ``chunk_size`` alone, and chunk results are reduced in index order, so
-    output is bit-identical for any worker count.
+    Paths are keyed substreams, chunk boundaries are fixed by ``chunk_size``
+    alone, and chunk results are reduced in index order, so output is
+    bit-identical for any worker count.
     """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
@@ -423,16 +381,43 @@ def run_hedge_batch(
             parts = [_hedge_chunk(j) for j in jobs]
     else:
         parts = [_hedge_chunk(j) for j in jobs]
-    cat = [np.concatenate([p[i] for p in parts], axis=0) for i in range(7)]
-    return HedgeBatch(
-        s_terminal=cat[0],
-        phi_terminal=cat[1],
-        terminal_wealth=cat[2],
-        payoff_value=cat[3],
-        utility_exponent=cat[4],
-        cost_integral=cat[5],
-        sup_position_norm=cat[6],
-    )
+    return HedgeBatch(*(np.concatenate([p[i] for p in parts], axis=0) for i in range(7)))
+
+
+def hedge_paths(
+    a_risk: float,
+    lam: float,
+    model: BachelierModel,
+    payoff: Payoff,
+    phi0,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    theta=None,
+    rule: Optional[QuadratureRule] = None,
+) -> HedgePaths:
+    """Paths ``0..n_paths-1`` of :func:`run_hedge_batch`, with every knot kept.
+
+    One chunk of the same engine at the same seed, so path i is the same
+    whatever ``n_paths`` is and the terminal summary equals the batch's.
+    ``theta`` (n, d) freezes the targets of every path, which makes the
+    positions the frozen-coefficient solution :func:`duhamel_solution`
+    reproduces independently.  Memory is O(n_paths * n * d): meant for
+    verification, not production runs.
+    """
+    if n_paths < 1:
+        raise InvalidParameterError("n_paths must be >= 1")
+    n, d = grid.n_steps, model.d
+    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
+    if phi0.shape != (d,):
+        raise DimensionMismatchError(f"phi0 must have length {d}")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (n, d):
+            raise DimensionMismatchError(f"theta must be ({n}, {d})")
+    job = (a_risk, lam, model, payoff, phi0, n, grid.dt, seed, 0, n_paths, rule)
+    *summary, knots = _hedge_chunk(job, record=True, frozen_targets=theta)
+    return HedgePaths(grid, *knots, batch=HedgeBatch(*summary))
 
 
 def supermartingale_check_mc(

@@ -97,26 +97,6 @@ def apply_scalar_function(m: SpdMatrix, fn: Callable[[np.ndarray], np.ndarray]) 
     return 0.5 * (out + out.T)
 
 
-def ratio_function(m: SpdMatrix, num_fn, den_fn) -> np.ndarray:
-    """Q diag(num_fn(lambda)/den_fn(lambda)) Q^T with direct evaluation.
-
-    Direct evaluation is fine while both functions stay in range; for
-    hyperbolic ratios with large arguments use :func:`hyperbolic_ratio`,
-    which never forms overflowing intermediates.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.asarray(num_fn(m.eig_values), dtype=float)
-        den = np.asarray(den_fn(m.eig_values), dtype=float)
-        if np.any(den == 0.0):
-            raise SingularDenominatorError("denominator function vanishes on the spectrum")
-        vals = num / den
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResultError("ratio overflowed; use hyperbolic_ratio for cosh/sinh pairs")
-    q = m.eig_vectors
-    out = (q * vals) @ q.T
-    return 0.5 * (out + out.T)
-
-
 def _hyp_half_terms(kind: str, y: np.ndarray) -> np.ndarray:
     # cosh(y) = e^y (1 + e^{-2y})/2, sinh(y) = e^y (1 - e^{-2y})/2 for y >= 0;
     # only the parenthesised correction is returned, the e^y is handled as a

@@ -1,5 +1,5 @@
-"""Bachelier market data, payoffs, path simulation and the payoff inflation
-transform used throughout the scaling analysis.
+"""Bachelier market data, payoffs, keyed random substreams and the payoff
+inflation transform used throughout the scaling analysis.
 
 Price dynamics are arithmetic: S_t = s0 + mu*t + W_t sigma with W a standard
 d-dimensional Brownian motion and sigma a fixed SPD volatility matrix.  All
@@ -93,11 +93,6 @@ class GenericLipschitz:
 Payoff = Union[BasketCall, GenericLipschitz]
 
 
-def payoff_eval(payoff: Payoff, x) -> float:
-    """Evaluate a payoff at a single point."""
-    return float(payoff.evaluate(np.atleast_1d(np.asarray(x, dtype=float))))
-
-
 def _zero_fn(x: np.ndarray) -> np.ndarray:
     return np.zeros(np.asarray(x).shape[:-1])
 
@@ -127,35 +122,6 @@ class TimeGrid:
         return self.T / self.n_steps
 
 
-@dataclass(frozen=True)
-class SimulatedPath:
-    """Brownian and stock trajectories on a time grid.
-
-    The stock rows satisfy s_k = s0 + mu*t_k + w_k sigma exactly by
-    construction, so there is no discretisation bias at the knots.
-    """
-
-    grid: TimeGrid
-    w: np.ndarray
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
-class ImpactParams:
-    """Impact coefficient lam and the fixed product a_risk = alpha * lam."""
-
-    lam: float
-    a_risk: float
-
-    def __post_init__(self):
-        if self.lam <= 0.0 or self.a_risk <= 0.0:
-            raise InvalidParameterError("lam and a_risk must be positive")
-
-    @property
-    def alpha(self) -> float:
-        return self.a_risk / self.lam
-
-
 def brownian_increments(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
     """Standard-normal step draws for one path's counter-based substream.
 
@@ -166,30 +132,15 @@ def brownian_increments(seed: int, path_index: int, n_steps: int, d: int) -> np.
     return rng.standard_normal((n_steps, d))
 
 
-def simulate_paths(
-    model: BachelierModel,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-) -> list[SimulatedPath]:
-    """Exact Gaussian simulation of the price dynamics at the grid knots.
+def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:
+    """Antithetic standard-normal rows from the Philox substream ``key``.
 
-    Deterministic given (seed, n_paths, grid); path i is identical no matter
-    how many other paths are requested.  For large-scale Monte Carlo use the
-    batched hedger instead of materialising path objects.
+    ``n_half`` rows are drawn and stacked with their negatives, so the odd
+    sample moments vanish exactly.
     """
-    if n_paths < 1:
-        raise InvalidParameterError("n_paths must be >= 1")
-    d = model.d
-    sqrt_dt = math.sqrt(grid.dt)
-    t = grid.knots[:, None]
-    out = []
-    for i in range(n_paths):
-        dw = brownian_increments(seed, i, grid.n_steps, d) * sqrt_dt
-        w = np.vstack([np.zeros((1, d)), np.cumsum(dw, axis=0)])
-        s = model.s0[None, :] + model.mu[None, :] * t + w @ model.sigma.entries
-        out.append(SimulatedPath(grid=grid, w=w, s=s))
-    return out
+    rng = Generator(Philox(key=np.array(key, dtype=np.uint64)))
+    half = rng.standard_normal((n_half, d))
+    return np.vstack([half, -half])
 
 
 def _search_radius(payoff: Payoff, a_risk: float, sigma: SpdMatrix) -> float:

@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy.special import ndtr, roots_hermitenorm
 
 from .errors import (
@@ -36,6 +35,7 @@ from .market import (
     BasketCall,
     Payoff,
     _sup_convolve_batch,
+    antithetic_normals,
     sup_convolve,
 )
 
@@ -138,12 +138,6 @@ def default_quadrature(d: int) -> Optional[QuadratureRule]:
     return None
 
 
-def _mc_fallback_points(d: int) -> np.ndarray:
-    rng = Generator(Philox(key=np.array([MC_FALLBACK_KEY, d], dtype=np.uint64)))
-    half = rng.standard_normal((MC_FALLBACK_SAMPLES, d))
-    return np.vstack([half, -half])
-
-
 def _basket_scale(model: BachelierModel, payoff: BasketCall, t: float) -> float:
     v = payoff.a @ model.sigma.entries
     return math.sqrt(max(model.T - t, 0.0) * float(v @ v))
@@ -195,7 +189,7 @@ def price_u(
     if rule is None:
         rule = default_quadrature(model.d)
     if rule is None:
-        z = _mc_fallback_points(model.d)
+        z = antithetic_normals((MC_FALLBACK_KEY, model.d), MC_FALLBACK_SAMPLES, model.d)
         weights = np.full(len(z), 1.0 / len(z))
     else:
         z, weights = rule.nodes, rule.weights

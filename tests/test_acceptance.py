@@ -25,7 +25,7 @@ from bachimpact import (
     certainty_equivalent_mc,
     dual_lower_bound,
     duhamel_solution,
-    integrate_strategy,
+    hedge_paths,
     inverse,
     kernel_G,
     kernel_K,
@@ -38,11 +38,11 @@ from bachimpact import (
     pde_residual,
     position_bound,
     run_hedge_batch,
-    simulate_paths,
     sup_convolve,
     supermartingale_check_mc,
     wealth,
     wealth_by_parts,
+    zero_payoff,
 )
 from bachimpact.cli import main as cli_main
 from bachimpact.market import _sup_convolve_batch
@@ -209,27 +209,24 @@ def test_criterion_6_ode_wealth_suite(atm):
     for m, d in ((model, 1), (model2, 2)):
         grid = TimeGrid(n_steps=300, T=1.0)
         payoff = call if d == 1 else BasketCall(a=[1.0, 0.5], b=-10.0)
-        path = simulate_paths(m, grid, 1, 606)[0]
         for lam in (0.2, 0.05):
             theta = rng.normal(size=(300, d))
-            res = integrate_strategy(1.0, lam, m, payoff, path, np.zeros(d), theta_override=theta)
+            rec = hedge_paths(1.0, lam, m, payoff, np.zeros(d), grid, 1, 606, theta=theta)
             oracle = duhamel_solution(1.0, lam, m, theta, np.zeros(d), grid)
-            worst_ode = max(worst_ode, float(np.abs(res.phi_positions - oracle).max()))
+            worst_ode = max(worst_ode, float(np.abs(rec.positions[0] - oracle).max()))
     assert worst_ode <= 1e-10
 
     rms = {}
     for n in (250, 1000, 4000):
         grid = TimeGrid(n_steps=n, T=1.0)
-        paths = simulate_paths(model, grid, 200, 614)
+        recorded = hedge_paths(1.0, 0.05, model, zero_payoff(), [0.0], grid, 200, 614)
         gaps = []
-        for path in paths:
+        for prices in recorded.prices:
             steps = rng.normal(0.0, math.sqrt(grid.dt), size=(n, 1))
             positions = np.vstack([np.zeros((1, 1)), np.cumsum(steps, axis=0)])
             rates = steps / grid.dt
-            gaps.append(
-                wealth(path, positions, rates, 0.05)
-                - wealth_by_parts(path, positions, rates, 0.05, [0.0])
-            )
+            knots = (prices, positions, rates, 0.05, grid.dt)
+            gaps.append(wealth(*knots) - wealth_by_parts(*knots))
         rms[n] = float(np.sqrt(np.mean(np.square(gaps))))
     for coarse, fine in ((250, 1000), (1000, 4000)):
         ratio = rms[coarse] / rms[fine]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from bachimpact import (
     BasketCall,
     TimeGrid,
     auto_n_steps,
-    bound_check,
     duhamel_solution,
-    integrate_strategy,
+    hedge_paths,
     position_bound,
     run_hedge_batch,
-    simulate_paths,
     step_matrix,
     supermartingale_check_mc,
     supermartingale_exponent,
@@ -62,38 +61,43 @@ class TestTrackingTarget:
         assert shifted[0] == pytest.approx(base[0], abs=1e-12)
 
 
+def zero_hedge_prices(model, grid, n_paths, seed):
+    """(n_paths, n+1, d) Bachelier prices recorded by the engine."""
+    return hedge_paths(
+        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+    ).prices
+
+
 class TestIntegrateStrategy:
+    """The relaxation ODE as the engine integrates it."""
+
     def test_constant_target_single_step(self, atm_model, atm_call):
         # relaxation rate 10, one step of 0.1: phi = 1 - e^{-1}
         grid = TimeGrid(n_steps=1, T=0.1)
-        path = simulate_paths(
-            BachelierModel(s0=[8.0], mu=[0.0], sigma=atm_model.sigma, T=0.1), grid, 1, 1
-        )[0]
-        theta = np.array([[1.0]])
-        res = integrate_strategy(1.0, 0.1, atm_model, atm_call, path, [0.0], theta_override=theta)
-        assert res.phi_positions[1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        model = BachelierModel(s0=[8.0], mu=[0.0], sigma=atm_model.sigma, T=0.1)
+        rec = hedge_paths(1.0, 0.1, model, atm_call, [0.0], grid, 1, 1, theta=[[1.0]])
+        assert rec.positions[0, 1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_zero_payoff_pure_decay(self, atm_model):
         grid = TimeGrid(n_steps=128, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 2)[0]
-        res = integrate_strategy(1.0, 0.25, atm_model, zero_payoff(), path, [1.0])
+        rec = hedge_paths(1.0, 0.25, atm_model, zero_payoff(), [1.0], grid, 1, 2)
         expected = np.exp(-4.0 * grid.knots)
-        assert np.abs(res.phi_positions[:, 0] - expected).max() < 1e-12
+        assert np.abs(rec.positions[0, :, 0] - expected).max() < 1e-12
         oracle = duhamel_solution(1.0, 0.25, atm_model, np.zeros((128, 1)), [1.0], grid)
-        assert np.abs(res.phi_positions - oracle).max() < 1e-12
+        assert np.abs(rec.positions[0] - oracle).max() < 1e-12
 
     def test_stiff_regime_bounded_unlike_euler(self, atm_model, atm_call):
         # h = 0.01 far exceeds the explicit-Euler stability bound 2 lam = 0.002
         lam = 1e-3
         grid = TimeGrid(n_steps=100, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 3)[0]
-        res = integrate_strategy(1.0, lam, atm_model, atm_call, path, [0.0])
-        assert res.sup_position_norm <= position_bound(atm_call, [0.0], margin=0.05)
+        rec = hedge_paths(1.0, lam, atm_model, atm_call, [0.0], grid, 1, 3)
+        assert rec.batch.sup_position_norm[0] <= position_bound(atm_call, [0.0], margin=0.05)
 
+        prices = rec.prices[0]
         phi = 0.0
         blew_up = False
         for k in range(grid.n_steps):
-            theta = tracking_target(1.0, atm_model, atm_call, grid.knots[k], path.s[k], [phi])
+            theta = tracking_target(1.0, atm_model, atm_call, grid.knots[k], prices[k], [phi])
             phi = phi + (1.0 / lam) * (theta[0] - phi) * grid.dt
             if abs(phi) > 10.0:
                 blew_up = True
@@ -102,18 +106,16 @@ class TestIntegrateStrategy:
 
     def test_positions_consistent_with_rates(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=32, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 4)[0]
-        res = integrate_strategy(1.0, 0.2, atm_model, atm_call, path, [0.3])
-        steps = np.diff(res.phi_positions, axis=0)
-        assert np.abs(steps - res.phi_rates * grid.dt).max() < 1e-12
-        assert res.cost_integral >= 0.0
+        rec = hedge_paths(1.0, 0.2, atm_model, atm_call, [0.3], grid, 1, 4)
+        steps = np.diff(rec.positions[0], axis=0)
+        assert np.abs(steps - rec.rates[0] * grid.dt).max() < 1e-12
+        assert rec.batch.cost_integral[0] >= 0.0
 
     def test_exponent_definition(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=16, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 6)[0]
-        res = integrate_strategy(1.0, 0.5, atm_model, atm_call, path, [0.0])
-        assert res.utility_exponent == pytest.approx(
-            2.0 * (res.payoff_value - res.terminal_wealth)
+        batch = run_hedge_batch(1.0, 0.5, atm_model, atm_call, [0.0], grid, 4, 6)
+        assert batch.utility_exponent == pytest.approx(
+            2.0 * (batch.payoff_value - batch.terminal_wealth)
         )
 
 
@@ -131,51 +133,46 @@ class TestDuhamel:
         for model, d in ((atm_model, 1), (model2, 2)):
             grid = TimeGrid(n_steps=200, T=1.0)
             theta = rng.normal(size=(200, d))
-            path = simulate_paths(model, grid, 1, 9)[0]
-            res = integrate_strategy(
-                1.0, 0.1, model, atm_call if d == 1 else BasketCall(a=[1.0, 0.0], b=-8.0),
-                path, np.zeros(d), theta_override=theta,
-            )
+            payoff = atm_call if d == 1 else BasketCall(a=[1.0, 0.0], b=-8.0)
+            rec = hedge_paths(1.0, 0.1, model, payoff, np.zeros(d), grid, 1, 9, theta=theta)
             oracle = duhamel_solution(1.0, 0.1, model, theta, np.zeros(d), grid)
-            assert np.abs(res.phi_positions - oracle).max() < 1e-10
+            assert np.abs(rec.positions[0] - oracle).max() < 1e-10
 
 
 class TestWealth:
     def test_buy_and_hold(self, atm_model):
         grid = TimeGrid(n_steps=64, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 10)[0]
+        prices = zero_hedge_prices(atm_model, grid, 1, 10)[0]
         positions = np.full((65, 1), 2.0)
         rates = np.zeros((64, 1))
-        expected = 2.0 * (path.s[-1, 0] - path.s[0, 0])
-        assert wealth(path, positions, rates, 0.3) == pytest.approx(expected, abs=1e-12)
-        assert wealth_by_parts(path, positions, rates, 0.3, [2.0]) == pytest.approx(
+        expected = 2.0 * (prices[-1, 0] - prices[0, 0])
+        assert wealth(prices, positions, rates, 0.3, grid.dt) == pytest.approx(expected, abs=1e-12)
+        assert wealth_by_parts(prices, positions, rates, 0.3, grid.dt) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_flat_zero(self, atm_model):
         grid = TimeGrid(n_steps=8, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 11)[0]
-        assert wealth(path, np.zeros((9, 1)), np.zeros((8, 1)), 0.1) == 0.0
-        assert wealth_by_parts(path, np.zeros((9, 1)), np.zeros((8, 1)), 0.1, [0.0]) == 0.0
+        prices = zero_hedge_prices(atm_model, grid, 1, 11)[0]
+        flat = (prices, np.zeros((9, 1)), np.zeros((8, 1)), 0.1, grid.dt)
+        assert wealth(*flat) == 0.0
+        assert wealth_by_parts(*flat) == 0.0
 
     def test_single_step_hand_values(self, atm_model):
         # both formulas reduce to two-term hand computations at n = 1;
         # they differ by h * rate * (S_1 - S_0), the one-step Riemann gap
         grid = TimeGrid(n_steps=1, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 12)[0]
+        prices = zero_hedge_prices(atm_model, grid, 1, 12)[0]
         phi0, rate, lam = 0.4, 0.9, 0.2
         positions = np.array([[phi0], [phi0 + rate]])
         rates = np.array([[rate]])
-        ds = path.s[1, 0] - path.s[0, 0]
+        ds = prices[1, 0] - prices[0, 0]
         hand_left = phi0 * ds - 0.5 * lam * rate**2
-        hand_parts = phi0 * ds + (rate * (path.s[1, 0] - path.s[0, 0]) - 0.5 * lam * rate**2)
-        assert wealth(path, positions, rates, lam) == pytest.approx(hand_left, abs=1e-12)
-        assert wealth_by_parts(path, positions, rates, lam, [phi0]) == pytest.approx(
-            hand_parts, abs=1e-12
-        )
-        gap = wealth_by_parts(path, positions, rates, lam, [phi0]) - wealth(
-            path, positions, rates, lam
-        )
+        hand_parts = phi0 * ds + (rate * (prices[1, 0] - prices[0, 0]) - 0.5 * lam * rate**2)
+        knots = (prices, positions, rates, lam, grid.dt)
+        assert wealth(*knots) == pytest.approx(hand_left, abs=1e-12)
+        assert wealth_by_parts(*knots) == pytest.approx(hand_parts, abs=1e-12)
+        gap = wealth_by_parts(*knots) - wealth(*knots)
         assert gap == pytest.approx(1.0 * rate * ds, abs=1e-12)
 
     def test_riemann_gap_rate(self, atm_model):
@@ -185,62 +182,52 @@ class TestWealth:
         rms = {}
         for n in (250, 1000, 4000):
             grid = TimeGrid(n_steps=n, T=1.0)
-            paths = simulate_paths(atm_model, grid, 40, 14)
             gaps = []
-            for path in paths:
+            for prices in zero_hedge_prices(atm_model, grid, 40, 14):
                 steps = rng.normal(0.0, math.sqrt(grid.dt), size=(n, 1))
                 positions = np.vstack([np.zeros((1, 1)), np.cumsum(steps, axis=0)])
                 rates = steps / grid.dt
-                gaps.append(
-                    wealth(path, positions, rates, 0.05)
-                    - wealth_by_parts(path, positions, rates, 0.05, [0.0])
-                )
+                knots = (prices, positions, rates, 0.05, grid.dt)
+                gaps.append(wealth(*knots) - wealth_by_parts(*knots))
             rms[n] = float(np.sqrt(np.mean(np.square(gaps))))
         assert rms[1000] == pytest.approx(0.5 * rms[250], rel=0.45)
         assert rms[4000] == pytest.approx(0.5 * rms[1000], rel=0.45)
 
 
 class TestBoundCheck:
+    """Position sup-norms reported by the engine stay inside the a priori bound."""
+
     def test_zero_everything(self, atm_model):
         grid = TimeGrid(n_steps=16, T=1.0)
-        paths = simulate_paths(atm_model, grid, 3, 15)
-        results = [
-            integrate_strategy(1.0, 0.2, atm_model, zero_payoff(), p, [0.0]) for p in paths
-        ]
-        assert bound_check(results, 1.0, atm_model, zero_payoff()) == 0.0
+        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 3, 15)
+        assert batch.sup_position_norm.max() == 0.0
 
     def test_unit_call_uniform_in_impact(self, atm_model, atm_call):
         cap = position_bound(atm_call, [0.0], margin=0.05)
         for lam in (0.4, 0.1, 0.02, 0.01):
             grid = TimeGrid(n_steps=512, T=1.0)
-            paths = simulate_paths(atm_model, grid, 5, 16)
-            results = [
-                integrate_strategy(1.0, lam, atm_model, atm_call, p, [0.0]) for p in paths
-            ]
-            assert bound_check(results, 1.0, atm_model, atm_call) <= cap
+            batch = run_hedge_batch(1.0, lam, atm_model, atm_call, [0.0], grid, 5, 16)
+            assert batch.sup_position_norm.max() <= cap
 
     def test_decay_from_large_inventory(self, atm_model):
         grid = TimeGrid(n_steps=64, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 17)[0]
-        res = integrate_strategy(1.0, 0.2, atm_model, zero_payoff(), path, [5.0])
-        assert res.sup_position_norm == pytest.approx(5.0)
+        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_payoff(), [5.0], grid, 1, 17)
+        assert batch.sup_position_norm[0] == pytest.approx(5.0)
 
 
 class TestSupermartingale:
     def test_zero_case_identically_zero(self, atm_model):
         grid = TimeGrid(n_steps=32, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 18)[0]
-        hedge = integrate_strategy(1.0, 0.2, atm_model, zero_payoff(), path, [0.0])
-        log_m = supermartingale_exponent(1.0, 0.2, atm_model, zero_payoff(), path, hedge)
-        assert np.array_equal(log_m, np.zeros(33))
+        rec = hedge_paths(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 2, 18)
+        log_m = supermartingale_exponent(1.0, 0.2, atm_model, zero_payoff(), rec)
+        assert np.array_equal(log_m, np.zeros((2, 33)))
 
     def test_initial_value_is_scaled_limit(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=16, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, 19)[0]
         for phi0 in ([0.0], [0.7]):
-            hedge = integrate_strategy(1.0, 0.2, atm_model, atm_call, path, phi0)
-            log_m = supermartingale_exponent(1.0, 0.2, atm_model, atm_call, path, hedge)
-            assert log_m[0] == pytest.approx(
+            rec = hedge_paths(1.0, 0.2, atm_model, atm_call, phi0, grid, 2, 19)
+            log_m = supermartingale_exponent(1.0, 0.2, atm_model, atm_call, rec)
+            assert log_m[:, 0] == pytest.approx(
                 5.0 * limit_value(1.0, atm_model, atm_call, phi0), abs=1e-10
             )
 
@@ -260,27 +247,57 @@ class TestSupermartingale:
         assert mean_ratio <= 1.0 + 3.0 * se
 
 
-class TestBatchEngine:
-    def test_matches_per_path(self, atm_model, atm_call):
-        grid = TimeGrid(n_steps=64, T=1.0)
-        batch = run_hedge_batch(1.0, 0.2, atm_model, atm_call, [0.1], grid, 4, 22)
-        paths = simulate_paths(atm_model, grid, 4, 22)
-        for i, path in enumerate(paths):
-            res = integrate_strategy(1.0, 0.2, atm_model, atm_call, path, [0.1])
-            assert batch.terminal_wealth[i] == pytest.approx(res.terminal_wealth, abs=1e-12)
-            assert batch.payoff_value[i] == pytest.approx(res.payoff_value, abs=1e-12)
-            assert batch.sup_position_norm[i] == pytest.approx(res.sup_position_norm, abs=1e-12)
-            assert batch.cost_integral[i] == pytest.approx(res.cost_integral, abs=1e-12)
+def _record_cases(atm_model, atm_call, model2):
+    # (a_risk, lam, model, payoff, phi0, n_steps): d = 1 and a correlated d = 2
+    return [
+        (1.0, 0.2, atm_model, atm_call, np.array([0.1]), 64),
+        (2.0, 0.3, model2, BasketCall(a=[1.0, 0.5], b=-10.0), np.array([0.1, -0.2]), 32),
+    ]
 
-    def test_matches_per_path_2d(self, model2):
-        call = BasketCall(a=[1.0, 0.5], b=-10.0)
-        grid = TimeGrid(n_steps=32, T=1.0)
-        batch = run_hedge_batch(2.0, 0.3, model2, call, [0.1, -0.2], grid, 3, 23)
-        paths = simulate_paths(model2, grid, 3, 23)
-        for i, path in enumerate(paths):
-            res = integrate_strategy(2.0, 0.3, model2, call, path, [0.1, -0.2])
-            assert np.abs(batch.phi_terminal[i] - res.phi_positions[-1]).max() < 1e-12
-            assert batch.terminal_wealth[i] == pytest.approx(res.terminal_wealth, abs=1e-12)
+
+class TestBatchEngine:
+    def test_matches_per_path(self, atm_model, atm_call, model2):
+        # each recorded path against the independent references
+        for a_risk, lam, model, payoff, phi0, n in _record_cases(atm_model, atm_call, model2):
+            grid = TimeGrid(n_steps=n, T=1.0)
+            rec = hedge_paths(a_risk, lam, model, payoff, phi0, grid, 4, 22)
+            b = rec.batch
+            for i in range(4):
+                prices, positions, rates = rec.prices[i], rec.positions[i], rec.rates[i]
+                assert b.terminal_wealth[i] == pytest.approx(
+                    wealth(prices, positions, rates, lam, grid.dt), abs=1e-12
+                )
+                assert b.payoff_value[i] == pytest.approx(
+                    float(payoff.evaluate(prices[-1])), abs=1e-12
+                )
+                assert b.sup_position_norm[i] == pytest.approx(
+                    float(np.linalg.norm(positions, axis=1).max()), abs=1e-12
+                )
+                assert b.cost_integral[i] == pytest.approx(
+                    0.5 * lam * float(np.sum(rates * rates)) * grid.dt, abs=1e-12
+                )
+                oracle = duhamel_solution(a_risk, lam, model, rec.targets[i], phi0, grid)
+                assert np.abs(positions - oracle).max() < 1e-10
+                for k in (0, n // 3, n - 1):
+                    target = tracking_target(
+                        a_risk, model, payoff, grid.knots[k], prices[k], positions[k]
+                    )
+                    assert np.abs(rec.targets[i, k] - target).max() < 1e-12
+
+    def test_record_summary_equals_batch(self, atm_model, atm_call, model2):
+        # one recorded chunk against a two-chunk batch run at the same seed
+        for a_risk, lam, model, payoff, phi0, n in _record_cases(atm_model, atm_call, model2):
+            grid = TimeGrid(n_steps=n, T=1.0)
+            rec = hedge_paths(a_risk, lam, model, payoff, phi0, grid, 300, 26)
+            batch = run_hedge_batch(
+                a_risk, lam, model, payoff, phi0, grid, 300, 26, chunk_size=256
+            )
+            for field in fields(batch):
+                assert np.array_equal(
+                    getattr(rec.batch, field.name), getattr(batch, field.name)
+                ), field.name
+            assert np.array_equal(rec.prices[:, -1], batch.s_terminal)
+            assert np.array_equal(rec.positions[:, -1], batch.phi_terminal)
 
     def test_chunking_invariance(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=32, T=1.0)

@@ -8,12 +8,12 @@ from bachimpact import (
     BasketCall,
     DimensionMismatchError,
     GenericLipschitz,
-    ImpactParams,
     InvalidParameterError,
     TimeGrid,
+    brownian_increments,
+    hedge_paths,
     make_spd,
-    payoff_eval,
-    simulate_paths,
+    run_hedge_batch,
     sup_convolve,
     sup_convolve_argmax,
     zero_payoff,
@@ -26,12 +26,6 @@ class TestTypes:
             BachelierModel(s0=[1.0, 2.0], mu=[0.0], sigma=sigma1, T=1.0)
         with pytest.raises(InvalidParameterError):
             BachelierModel(s0=[1.0], mu=[0.0], sigma=sigma1, T=0.0)
-
-    def test_impact_params(self):
-        p = ImpactParams(lam=0.1, a_risk=2.0)
-        assert p.alpha == pytest.approx(20.0)
-        with pytest.raises(InvalidParameterError):
-            ImpactParams(lam=0.0, a_risk=1.0)
 
     def test_negative_lipschitz_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -50,13 +44,13 @@ class TestTypes:
 
 class TestPayoffEval:
     def test_itm(self):
-        assert payoff_eval(BasketCall(a=[1.0], b=-8.0), [10.0]) == pytest.approx(2.0)
+        assert BasketCall(a=[1.0], b=-8.0).evaluate([10.0]) == pytest.approx(2.0)
 
     def test_otm(self):
-        assert payoff_eval(BasketCall(a=[1.0], b=-8.0), [5.0]) == pytest.approx(0.0)
+        assert BasketCall(a=[1.0], b=-8.0).evaluate([5.0]) == pytest.approx(0.0)
 
     def test_spread(self):
-        assert payoff_eval(BasketCall(a=[1.0, -1.0], b=0.0), [3.0, 1.0]) == pytest.approx(2.0)
+        assert BasketCall(a=[1.0, -1.0], b=0.0).evaluate([3.0, 1.0]) == pytest.approx(2.0)
 
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(1)
@@ -73,12 +67,26 @@ class TestPayoffEval:
             assert np.all(gap <= lip * np.linalg.norm(x - y, axis=1) + 1e-12)
 
 
+def terminal_prices(model, n_paths, seed):
+    """Terminal prices of one-step paths from the hedge engine (zero claim)."""
+    grid = TimeGrid(n_steps=1, T=model.T)
+    return run_hedge_batch(
+        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+    ).s_terminal
+
+
+def recorded_prices(model, grid, n_paths, seed):
+    return hedge_paths(
+        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+    ).prices
+
+
 class TestSimulatePaths:
+    """Price paths as the hedge engine simulates them from keyed substreams."""
+
     def test_moments_single_step(self, sigma1):
         model = BachelierModel(s0=[0.0], mu=[0.0], sigma=sigma1, T=1.0)
-        grid = TimeGrid(n_steps=1, T=1.0)
-        paths = simulate_paths(model, grid, 100_000, seed=2024)
-        terminal = np.array([p.s[-1, 0] for p in paths])
+        terminal = terminal_prices(model, 100_000, seed=2024)[:, 0]
         se = terminal.std(ddof=1) / math.sqrt(len(terminal))
         assert abs(terminal.mean()) < 3.0 * se
         # sample variance of a Gaussian: SE ~ sigma^2 sqrt(2/(n-1))
@@ -87,49 +95,46 @@ class TestSimulatePaths:
 
     def test_drift(self, sigma1):
         model = BachelierModel(s0=[1.0], mu=[2.0], sigma=sigma1, T=1.0)
-        grid = TimeGrid(n_steps=1, T=1.0)
-        paths = simulate_paths(model, grid, 100_000, seed=7)
-        terminal = np.array([p.s[-1, 0] for p in paths])
+        terminal = terminal_prices(model, 100_000, seed=7)[:, 0]
         se = terminal.std(ddof=1) / math.sqrt(len(terminal))
         assert abs(terminal.mean() - 3.0) < 3.0 * se
 
     def test_covariance_multidim(self, model2):
-        grid = TimeGrid(n_steps=1, T=1.0)
-        paths = simulate_paths(model2, grid, 60_000, seed=99)
-        terminal = np.stack([p.s[-1] - model2.s0 for p in paths])
+        terminal = terminal_prices(model2, 60_000, seed=99) - model2.s0
         sigma_sq = model2.sigma.entries @ model2.sigma.entries
         cov = np.cov(terminal.T)
         assert np.abs(cov - sigma_sq).max() < 0.05
 
     def test_determinism(self, atm_model):
         grid = TimeGrid(n_steps=16, T=1.0)
-        a = simulate_paths(atm_model, grid, 5, seed=123)
-        b = simulate_paths(atm_model, grid, 5, seed=123)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.w, pb.w)
-            assert np.array_equal(pa.s, pb.s)
+        a = recorded_prices(atm_model, grid, 5, seed=123)
+        b = recorded_prices(atm_model, grid, 5, seed=123)
+        assert np.array_equal(a, b)
 
-    def test_path_identity_independent_of_count(self, atm_model):
+    def test_path_identity_independent_of_count(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=8, T=1.0)
-        few = simulate_paths(atm_model, grid, 3, seed=5)
-        many = simulate_paths(atm_model, grid, 10, seed=5)
-        assert np.array_equal(few[2].w, many[2].w)
+        few = hedge_paths(1.0, 0.2, atm_model, atm_call, [0.0], grid, 3, 5)
+        many = hedge_paths(1.0, 0.2, atm_model, atm_call, [0.0], grid, 10, 5)
+        for name in ("prices", "positions", "rates", "targets"):
+            assert np.array_equal(getattr(few, name)[2], getattr(many, name)[2]), name
+        assert few.batch.utility_exponent[2] == many.batch.utility_exponent[2]
 
-    def test_affine_relation_exact(self, model2):
+    def test_prices_follow_bachelier_dynamics(self, sigma2):
+        # s_k = s0 + mu t_k + w_k sigma, with w the path's keyed increments
+        model = BachelierModel(s0=[8.0, 6.0], mu=[0.5, -0.3], sigma=sigma2, T=1.0)
         grid = TimeGrid(n_steps=32, T=1.0)
-        for path in simulate_paths(model2, grid, 3, seed=11):
-            expected = (
-                model2.s0[None, :]
-                + model2.mu[None, :] * grid.knots[:, None]
-                + path.w @ model2.sigma.entries
-            )
-            assert np.array_equal(path.s, expected)
+        prices = recorded_prices(model, grid, 3, seed=11)
+        for i in range(3):
+            dw = brownian_increments(11, i, 32, 2) * math.sqrt(grid.dt)
+            w = np.vstack([np.zeros((1, 2)), np.cumsum(dw, axis=0)])
+            expected = model.s0 + model.mu * grid.knots[:, None] + w @ sigma2.entries
+            assert np.abs(prices[i] - expected).max() < 1e-12
 
     def test_brownian_increment_scale(self, atm_model):
         grid = TimeGrid(n_steps=4, T=1.0)
-        path = simulate_paths(atm_model, grid, 1, seed=3)[0]
-        assert np.array_equal(path.w[0], np.zeros(1))
-        increments = np.diff(path.w, axis=0)
+        prices = recorded_prices(atm_model, grid, 1, seed=3)[0]
+        assert np.array_equal(prices[0], atm_model.s0)
+        increments = np.diff(prices, axis=0)  # unit vol, no drift
         assert np.all(np.abs(increments) < 10.0 * math.sqrt(grid.dt))
 
 
