@@ -394,7 +394,6 @@ def hedge_paths(
     n_paths: int,
     seed: int,
     theta=None,
-    rule: Optional[QuadratureRule] = None,
 ) -> HedgePaths:
     """Paths ``0..n_paths-1`` of :func:`run_hedge_batch`, with every knot kept.
 
@@ -415,7 +414,7 @@ def hedge_paths(
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (n, d):
             raise DimensionMismatchError(f"theta must be ({n}, {d})")
-    job = (a_risk, lam, model, payoff, phi0, n, grid.dt, seed, 0, n_paths, rule)
+    job = (a_risk, lam, model, payoff, phi0, n, grid.dt, seed, 0, n_paths, None)
     *summary, knots = _hedge_chunk(job, record=True, frozen_targets=theta)
     return HedgePaths(grid, *knots, batch=HedgeBatch(*summary))
 
