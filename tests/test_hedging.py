@@ -255,34 +255,40 @@ def _record_cases(atm_model, atm_call, model2):
     ]
 
 
+def _check_record_against_references(a_risk, lam, model, payoff, phi0, n):
+    # each recorded path against the independent references
+    grid = TimeGrid(n_steps=n, T=1.0)
+    rec = hedge_paths(a_risk, lam, model, payoff, phi0, grid, 4, 22)
+    b = rec.batch
+    for i in range(4):
+        prices, positions, rates = rec.prices[i], rec.positions[i], rec.rates[i]
+        assert b.terminal_wealth[i] == pytest.approx(
+            wealth(prices, positions, rates, lam, grid.dt), abs=1e-12
+        )
+        assert b.payoff_value[i] == pytest.approx(
+            float(payoff.evaluate(prices[-1])), abs=1e-12
+        )
+        assert b.sup_position_norm[i] == pytest.approx(
+            float(np.linalg.norm(positions, axis=1).max()), abs=1e-12
+        )
+        assert b.cost_integral[i] == pytest.approx(
+            0.5 * lam * float(np.sum(rates * rates)) * grid.dt, abs=1e-12
+        )
+        oracle = duhamel_solution(a_risk, lam, model, rec.targets[i], phi0, grid)
+        assert np.abs(positions - oracle).max() < 1e-10
+        for k in (0, n // 3, n - 1):
+            target = tracking_target(
+                a_risk, model, payoff, grid.knots[k], prices[k], positions[k]
+            )
+            assert np.abs(rec.targets[i, k] - target).max() < 1e-12
+
+
 class TestBatchEngine:
     def test_matches_per_path(self, atm_model, atm_call, model2):
-        # each recorded path against the independent references
-        for a_risk, lam, model, payoff, phi0, n in _record_cases(atm_model, atm_call, model2):
-            grid = TimeGrid(n_steps=n, T=1.0)
-            rec = hedge_paths(a_risk, lam, model, payoff, phi0, grid, 4, 22)
-            b = rec.batch
-            for i in range(4):
-                prices, positions, rates = rec.prices[i], rec.positions[i], rec.rates[i]
-                assert b.terminal_wealth[i] == pytest.approx(
-                    wealth(prices, positions, rates, lam, grid.dt), abs=1e-12
-                )
-                assert b.payoff_value[i] == pytest.approx(
-                    float(payoff.evaluate(prices[-1])), abs=1e-12
-                )
-                assert b.sup_position_norm[i] == pytest.approx(
-                    float(np.linalg.norm(positions, axis=1).max()), abs=1e-12
-                )
-                assert b.cost_integral[i] == pytest.approx(
-                    0.5 * lam * float(np.sum(rates * rates)) * grid.dt, abs=1e-12
-                )
-                oracle = duhamel_solution(a_risk, lam, model, rec.targets[i], phi0, grid)
-                assert np.abs(positions - oracle).max() < 1e-10
-                for k in (0, n // 3, n - 1):
-                    target = tracking_target(
-                        a_risk, model, payoff, grid.knots[k], prices[k], positions[k]
-                    )
-                    assert np.abs(rec.targets[i, k] - target).max() < 1e-12
+        _check_record_against_references(*_record_cases(atm_model, atm_call, model2)[0])
+
+    def test_matches_per_path_2d(self, atm_model, atm_call, model2):
+        _check_record_against_references(*_record_cases(atm_model, atm_call, model2)[1])
 
     def test_record_summary_equals_batch(self, atm_model, atm_call, model2):
         # one recorded chunk against a two-chunk batch run at the same seed
