@@ -34,7 +34,6 @@ from .market import (
     brownian_increments,
     sup_convolve,
     sup_convolve_argmax,
-    sup_convolve_argmax_batch,
     zero_payoff,
 )
 from .pricing import (

@@ -27,8 +27,9 @@ from .market import (
     BachelierModel,
     Payoff,
     TimeGrid,
+    _search_radius,
     antithetic_normals,
-    sup_convolve_argmax_batch,
+    sup_convolve_argmax,
     zero_payoff,
 )
 from .hedging import run_hedge_batch
@@ -254,13 +255,11 @@ def optimal_dual_Y(
 
     def selector(w_terminal: np.ndarray) -> np.ndarray:
         x = model.s0[None, :] - base_shift[None, :] + w_terminal @ model.sigma.entries
-        y_star = sup_convolve_argmax_batch(payoff, a_risk, model.sigma, x, eps=eps)
+        y_star = sup_convolve_argmax(payoff, a_risk, model.sigma, x, eps=eps)
         return -y_star
 
-    bound = (
-        2.0 * sqa * model.sigma.max_eig * payoff.lipschitz_constant
-        + float(np.linalg.norm(base_shift))
-    )
+    # the maximiser lies within the search radius of the origin
+    bound = _search_radius(payoff, a_risk, model.sigma) + float(np.linalg.norm(base_shift))
     return DualSpec(
         h=selector, shift=base_shift, bounded=True, bound=bound, name="optimal"
     )

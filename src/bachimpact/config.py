@@ -8,6 +8,7 @@ seeds are mandatory so no run ever depends on wall-clock entropy.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,12 +134,13 @@ class ExperimentConfig:
 
 def _parse_scalar(key: str, kind: str, text: str):
     try:
-        if kind == "f":
-            return float(text)
+        if kind in ("f", "fl"):
+            vals = [float(tok) for tok in text.replace(",", " ").split()]
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"key {key}: {text!r} is not finite")
+            return vals if kind == "fl" else float(text)
         if kind == "i":
             return int(text)
-        if kind == "fl":
-            return [float(tok) for tok in text.replace(",", " ").split()]
         if kind == "auto_i":
             return "auto" if text.strip() == "auto" else int(text)
         return text.strip()

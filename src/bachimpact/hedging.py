@@ -28,19 +28,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .linalg import SpdMatrix, inverse, mat_exp, quad_form, row_vec_mul
-from .market import (
-    BachelierModel,
-    BasketCall,
-    Payoff,
-    TimeGrid,
-    _sup_convolve_batch,
-    brownian_increments,
-)
-from .pricing import QuadratureRule, delta_u, limit_value, price_u
+from .linalg import SpdMatrix, inverse, mat_exp, row_vec_mul
+from .market import BachelierModel, Payoff, TimeGrid, brownian_increments
+from .pricing import QuadratureRule, _closed_form_delta_factory, delta_u, price_u
 
 AUTO_STEPS_FLOOR = 1000
 AUTO_STEPS_CAP = 100_000
@@ -117,8 +109,6 @@ def tracking_target(
     s_t = np.atleast_1d(np.asarray(s_t, dtype=float))
     phi_t = np.atleast_1d(np.asarray(phi_t, dtype=float))
     shifted = s_t - math.sqrt(a_risk) * row_vec_mul(phi_t, model.sigma.entries)
-    if payoff.lipschitz_constant == 0.0:
-        return np.zeros(model.d)
     return delta_u(a_risk, model, payoff, t, shifted, rule)
 
 
@@ -220,6 +210,23 @@ def drift_slack(a_risk: float, lam: float, model: BachelierModel, payoff: Payoff
     return (lam / math.sqrt(a_risk)) * 2.0 * bound_c * model.T * mu_siginv_norm
 
 
+def _certificate_log(a_risk, lam, model, payoff, t, s, phi, phi0, wealth, rule=None):
+    """Log of the certification process at time t for (m, d) prices and positions.
+
+    (A/lam) * (claim price at the shifted spot s - sqrt(A) phi sigma +
+    inventory value - wealth so far), corrected by
+    -sqrt(A) <phi - phi0, mu sigma^{-1}> so the drift of the price does not
+    break the supermartingale property.
+    """
+    sqa = math.sqrt(a_risk)
+    sigma = model.sigma.entries
+    mu_siginv = row_vec_mul(model.mu, inverse(model.sigma).entries)
+    u_vals = price_u(a_risk, model, payoff, t, s - sqa * (phi @ sigma), rule)
+    inventory = 0.5 * sqa * np.einsum("ij,jk,ik->i", phi, sigma, phi)
+    correction = -sqa * ((phi - phi0) @ mu_siginv)
+    return correction + (a_risk / lam) * (u_vals + inventory - wealth)
+
+
 def supermartingale_exponent(
     a_risk: float,
     lam: float,
@@ -230,60 +237,26 @@ def supermartingale_exponent(
 ) -> np.ndarray:
     """Drift-corrected log of the certification process, (n_paths, n+1).
 
-    At each recorded knot: (A/lam) * (claim price at the shifted spot +
-    inventory value - wealth so far), corrected by
-    -sqrt(A) <Phi_t - Phi_0, mu sigma^{-1}> so the drift of the price does not
-    break the supermartingale property.  Log domain throughout; the initial
-    entry is (A/lam) times the limit value.
+    :func:`_certificate_log` at each recorded knot, with the wealth so far
+    summed from the recorded prices, positions and rates.  Log domain
+    throughout; the initial entry is (A/lam) times the limit value.
     """
-    sqa = math.sqrt(a_risk)
-    sigma = model.sigma.entries
-    mu_siginv = row_vec_mul(model.mu, inverse(model.sigma).entries)
     prices, positions, rates = paths.prices, paths.positions, paths.rates
     gains = np.einsum("pkj,pkj->pk", positions[:, :-1], np.diff(prices, axis=1))
     costs = 0.5 * lam * np.einsum("pkj,pkj->pk", rates, rates) * paths.grid.dt
     wealth_so_far = np.zeros(positions.shape[:2])
     wealth_so_far[:, 1:] = np.cumsum(gains - costs, axis=1)
-    shifted = prices - sqa * (positions @ sigma)
-    u_vals = np.array([
-        [price_u(a_risk, model, payoff, t, x, rule) for t, x in zip(paths.grid.knots, row)]
-        for row in shifted
-    ])
-    inventory = 0.5 * sqa * np.einsum("pkj,jl,pkl->pk", positions, sigma, positions)
-    correction = -sqa * ((positions - positions[:, :1]) @ mu_siginv)
-    return correction + (a_risk / lam) * (u_vals + inventory - wealth_so_far)
+    logs = [
+        _certificate_log(a_risk, lam, model, payoff, t, prices[:, k], positions[:, k],
+                         positions[:, 0], wealth_so_far[:, k], rule)
+        for k, t in enumerate(paths.grid.knots)
+    ]
+    return np.stack(logs, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # batched engine
 # ---------------------------------------------------------------------------
-
-
-def _closed_form_delta_factory(a_risk, model, payoff, rule=None):
-    """Vectorised target evaluator: (m, d) shifted spots -> (m, d) deltas."""
-    if payoff.lipschitz_constant == 0.0:
-        def zero_target(t, shifted):
-            return np.zeros_like(shifted)
-        return zero_target
-    if isinstance(payoff, BasketCall):
-        a = payoff.a
-        b_inf = payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(a, model.sigma.entries)
-        v = a @ model.sigma.entries
-        var = float(v @ v)
-
-        def basket_target(t, shifted):
-            scale = math.sqrt((model.T - t) * var)
-            m = (shifted @ a + b_inf) / scale
-            return ndtr(m)[:, None] * a[None, :]
-
-        return basket_target
-
-    def generic_target(t, shifted):
-        return np.stack(
-            [delta_u(a_risk, model, payoff, t, row, rule) for row in shifted]
-        )
-
-    return generic_target
 
 
 def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
@@ -437,17 +410,12 @@ def supermartingale_check_mc(
     or below one.
     """
     batch = run_hedge_batch(a_risk, lam, model, payoff, phi0, grid, n_paths, seed, workers)
-    sqa = math.sqrt(a_risk)
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    shifted = batch.s_terminal - sqa * (batch.phi_terminal @ model.sigma.entries)
-    g_vals, _ = _sup_convolve_batch(payoff, a_risk, model.sigma, shifted)
-    inventory = 0.5 * sqa * np.einsum(
-        "ij,jk,ik->i", batch.phi_terminal, model.sigma.entries, batch.phi_terminal
+    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))[None, :]
+    log_m_t = _certificate_log(
+        a_risk, lam, model, payoff, model.T, batch.s_terminal, batch.phi_terminal,
+        phi0, batch.terminal_wealth,
     )
-    mu_siginv = row_vec_mul(model.mu, inverse(model.sigma).entries)
-    correction = -sqa * (batch.phi_terminal - phi0[None, :]) @ mu_siginv
-    log_m_t = (a_risk / lam) * (g_vals + inventory - batch.terminal_wealth)
-    log_m_0 = (a_risk / lam) * limit_value(a_risk, model, payoff, phi0)
-    ratios = np.exp(correction + log_m_t - log_m_0)
+    log_m_0 = _certificate_log(a_risk, lam, model, payoff, 0.0, model.s0[None, :], phi0, phi0, 0.0)
+    ratios = np.exp(log_m_t - log_m_0)
     se = float(ratios.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return float(ratios.mean()), se

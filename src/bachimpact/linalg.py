@@ -63,10 +63,14 @@ def make_spd(entries) -> SpdMatrix:
         relative tolerance.
     NotPositiveDefiniteError
         If the smallest eigenvalue is <= 0.
+    InvalidParameterError
+        If an entry is NaN or infinite.
     """
     m = np.array(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidParameterError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")

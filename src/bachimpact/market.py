@@ -15,13 +15,15 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import BudgetExceededError, DimensionMismatchError, InvalidParameterError
 from .linalg import SpdMatrix, inverse, quad_form
 
 # grid-search defaults for the generic sup-convolution (see sup_convolve)
 SEARCH_GRID_POINTS = 41
 SEARCH_ROUNDS = 3
 SEARCH_SHRINK = 0.2
+# largest tensor grid (quadrature nodes or search candidates per point)
+NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,18 @@ class TimeGrid:
         return self.T / self.n_steps
 
 
+def substream(*key: int) -> Generator:
+    """Counter-based Philox generator keyed by ``key``: every draw of the package."""
+    return Generator(Philox(key=np.array(key, dtype=np.uint64)))
+
+
 def brownian_increments(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
     """Standard-normal step draws for one path's counter-based substream.
 
     Keyed by (seed, path_index) so every path is reproducible independent of
     chunking, worker count or how many paths are simulated in total.
     """
-    rng = Generator(Philox(key=np.array([seed, path_index], dtype=np.uint64)))
-    return rng.standard_normal((n_steps, d))
+    return substream(seed, path_index).standard_normal((n_steps, d))
 
 
 def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:
@@ -138,9 +144,19 @@ def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:
     ``n_half`` rows are drawn and stacked with their negatives, so the odd
     sample moments vanish exactly.
     """
-    rng = Generator(Philox(key=np.array(key, dtype=np.uint64)))
-    half = rng.standard_normal((n_half, d))
+    half = substream(*key).standard_normal((n_half, d))
     return np.vstack([half, -half])
+
+
+def inflated_strike(payoff: BasketCall, a_risk: float, sigma: SpdMatrix) -> float:
+    """Strike b + sqrt(A) <a sigma, a>/2 of the inflated basket call (<a, x> + strike)^+."""
+    return payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(payoff.a, sigma.entries)
+
+
+def _as_points(x) -> tuple[np.ndarray, bool]:
+    """One point (d,) or a batch (m, d) as (m, d) rows, and whether it was a batch."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.atleast_2d(x), x.ndim == 2
 
 
 def _search_radius(payoff: Payoff, a_risk: float, sigma: SpdMatrix) -> float:
@@ -165,27 +181,29 @@ def _sup_convolve_batch(
     grid_points: int = SEARCH_GRID_POINTS,
     row_block: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised grid-plus-refinement search, returning values and argmaxes.
+    """Values (n,) and argmaxes (n, d) of the transform at (n, d) points.
 
-    Shared by the scalar entry points below and by the quadrature pricer,
-    which evaluates the transform on thousands of abscissae at once.
+    A row block holds (rows, grid_points^d, d) candidates, so it shrinks as
+    the grid grows (49 rows at d = 3); a grid over NODE_BUDGET raises.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
     if isinstance(payoff, BasketCall):
         shift = payoff.a @ sigma.entries * math.sqrt(a_risk)
-        inflated = x @ payoff.a + payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(
-            payoff.a, sigma.entries
-        )
+        inflated = x @ payoff.a + inflated_strike(payoff, a_risk, sigma)
         vals = np.maximum(inflated, 0.0)
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
 
     radius0 = _search_radius(payoff, a_risk, sigma)
+    if radius0 == 0.0:
+        return payoff.evaluate(x), np.zeros_like(x)
+    candidates = grid_points**d
+    if candidates > NODE_BUDGET:
+        raise BudgetExceededError(f"search grid {grid_points}^{d} exceeds the {NODE_BUDGET} budget")
+    row_block = max(1, min(row_block, row_block * SEARCH_GRID_POINTS**2 // candidates))
     best_val = payoff.evaluate(x)
     best_y = np.zeros_like(x)
-    if radius0 == 0.0:
-        return best_val, best_y
     sig_inv = inverse(sigma).entries
     inv_two_sqrt_a = 1.0 / (2.0 * math.sqrt(a_risk))
     for lo in range(0, n, row_block):
@@ -212,19 +230,21 @@ def _sup_convolve_batch(
     return best_val, best_y
 
 
-def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x) -> float:
+def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
     """Inflated payoff sup_y [f(x+y) - <y sigma^{-1}, y>/(2 sqrt(a_risk))].
 
     This is the effective claim in the small-impact scaling limit.  Basket
-    calls use the closed form (<a,x> + b + sqrt(a_risk) <a sigma, a>/2)^+;
-    generic payoffs are maximised by a bounded-ball grid search with local
+    calls use the closed form (<a,x> + :func:`inflated_strike`)^+; generic
+    payoffs are maximised by a bounded-ball grid search with local
     refinement (the maximiser provably lies within
     2 sqrt(a_risk) lam_max(sigma) L of the origin).  Always >= f(x).
+    ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")
-    vals, _ = _sup_convolve_batch(payoff, a_risk, sigma, np.atleast_1d(x))
-    return float(vals[0])
+    points, batch = _as_points(x)
+    vals, _ = _sup_convolve_batch(payoff, a_risk, sigma, points)
+    return vals if batch else float(vals[0])
 
 
 def sup_convolve_argmax(
@@ -239,34 +259,19 @@ def sup_convolve_argmax(
     For basket calls returns sqrt(a_risk) * a sigma on the inflated-positive
     branch and 0 otherwise (ties at the kink resolve to 0, which keeps the
     selector bounded and measurable).  Generic payoffs refine the grid search
-    until the residual resolution is below ``eps``.
+    until the residual resolution is below ``eps``.  ``x`` is one point (d,)
+    or a batch (m, d); the result is (d,) or (m, d).
     """
     if a_risk <= 0.0 or eps <= 0.0:
         raise InvalidParameterError("a_risk and eps must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    points, batch = _as_points(x)
     rounds = _rounds_for_eps(payoff, a_risk, sigma, eps)
-    _, ys = _sup_convolve_batch(payoff, a_risk, sigma, x, rounds=rounds)
-    return ys[0]
-
-
-def sup_convolve_argmax_batch(
-    payoff: Payoff,
-    a_risk: float,
-    sigma: SpdMatrix,
-    x: np.ndarray,
-    eps: float = 1e-9,
-) -> np.ndarray:
-    """Row-wise :func:`sup_convolve_argmax` for (n, d) evaluation points."""
-    if a_risk <= 0.0 or eps <= 0.0:
-        raise InvalidParameterError("a_risk and eps must be positive")
-    rounds = _rounds_for_eps(payoff, a_risk, sigma, eps)
-    _, ys = _sup_convolve_batch(payoff, a_risk, sigma, x, rounds=rounds)
-    return ys
+    _, ys = _sup_convolve_batch(payoff, a_risk, sigma, points, rounds=rounds)
+    return ys if batch else ys[0]
 
 
 def _rounds_for_eps(payoff: Payoff, a_risk: float, sigma: SpdMatrix, eps: float) -> int:
-    if isinstance(payoff, BasketCall):
-        return SEARCH_ROUNDS
+    # basket calls never reach the search, so their rounds are never read
     radius = _search_radius(payoff, a_risk, sigma)
     if radius == 0.0:
         return SEARCH_ROUNDS

@@ -12,6 +12,8 @@ vol, m the moneyness of the inflated strike, the closed form is the usual
 arithmetic-model pair
 
     u = s * (m * Phi(m) + phi(m)),        delta = a * Phi(m).
+
+Price and delta take one point (d,) or a batch (m, d) of spots.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ from .errors import (
 )
 from .linalg import quad_form, row_vec_mul
 from .market import (
+    NODE_BUDGET,
     BachelierModel,
     BasketCall,
     Payoff,
+    _as_points,
     _sup_convolve_batch,
     antithetic_normals,
+    inflated_strike,
     sup_convolve,
 )
 
-NODE_BUDGET = 1_000_000
 # fallback Monte Carlo settings for d >= 4 (antithetic, fixed substream)
 MC_FALLBACK_SAMPLES = 500_000
 MC_FALLBACK_KEY = 0x9E3779B9
@@ -138,25 +142,36 @@ def default_quadrature(d: int) -> Optional[QuadratureRule]:
     return None
 
 
-def _basket_scale(model: BachelierModel, payoff: BasketCall, t: float) -> float:
+def _basket_price(a_risk, model, payoff, t, x) -> np.ndarray:
+    """Closed-form price of the inflated basket call at (m, d) spots."""
+    intrinsic = x @ payoff.a + inflated_strike(payoff, a_risk, model.sigma)
     v = payoff.a @ model.sigma.entries
-    return math.sqrt(max(model.T - t, 0.0) * float(v @ v))
-
-
-def _basket_closed_form(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: BasketCall,
-    t: float,
-    x: np.ndarray,
-) -> float:
-    b_inf = payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(payoff.a, model.sigma.entries)
-    intrinsic = float(x @ payoff.a) + b_inf
-    scale = _basket_scale(model, payoff, t)
+    scale = math.sqrt(max(model.T - t, 0.0) * float(v @ v))
     if scale == 0.0:
-        return max(intrinsic, 0.0)
+        return np.maximum(intrinsic, 0.0)
     m = intrinsic / scale
-    return scale * (m * ndtr(m) + math.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
+    return scale * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
+
+
+def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
+    """Price at (m, d) spots by integrating g over ``rule``, for any payoff.
+
+    ``rule`` None takes the per-dimension default, and from d = 4 an
+    antithetic Monte Carlo sample on a fixed substream.
+    """
+    if rule is None:
+        rule = default_quadrature(model.d)
+    if rule is None:
+        z = antithetic_normals((MC_FALLBACK_KEY, model.d), MC_FALLBACK_SAMPLES, model.d)
+        weights = np.full(len(z), 1.0 / len(z))
+    else:
+        z, weights = rule.nodes, rule.weights
+    offsets = math.sqrt(model.T - t) * (z @ model.sigma.entries)
+    out = np.empty(len(x))
+    for i, row in enumerate(x):
+        vals, _ = _sup_convolve_batch(payoff, a_risk, model.sigma, row[None, :] + offsets)
+        out[i] = weights @ vals
+    return out
 
 
 def price_u(
@@ -166,36 +181,26 @@ def price_u(
     t: float,
     x,
     rule: Optional[QuadratureRule] = None,
-    *,
-    force_quadrature: bool = False,
-) -> float:
+):
     """Price of the inflated claim at time t and (shifted) spot x.
 
     Integrates the inflated payoff over the Gaussian increment to maturity;
     at t == T this reduces to the inflated payoff itself, exactly.  Basket
-    calls use the closed form unless ``force_quadrature`` is set (used by the
-    cross-checking tests).  With ``rule`` None and d >= 4 an antithetic
-    Monte Carlo fallback on a fixed substream is used.
+    calls use the closed form, other payoffs :func:`_quadrature_price`.
+    ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")
     if t < 0.0 or t > model.T:
         raise InvalidTimeError(f"t={t} outside [0, {model.T}]")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    points, batch = _as_points(x)
     if t == model.T:
-        return sup_convolve(payoff, a_risk, model.sigma, x)
-    if isinstance(payoff, BasketCall) and not force_quadrature:
-        return _basket_closed_form(a_risk, model, payoff, t, x)
-    if rule is None:
-        rule = default_quadrature(model.d)
-    if rule is None:
-        z = antithetic_normals((MC_FALLBACK_KEY, model.d), MC_FALLBACK_SAMPLES, model.d)
-        weights = np.full(len(z), 1.0 / len(z))
+        vals = sup_convolve(payoff, a_risk, model.sigma, points)
+    elif isinstance(payoff, BasketCall):
+        vals = _basket_price(a_risk, model, payoff, t, points)
     else:
-        z, weights = rule.nodes, rule.weights
-    points = x[None, :] + math.sqrt(model.T - t) * (z @ model.sigma.entries)
-    vals, _ = _sup_convolve_batch(payoff, a_risk, model.sigma, points)
-    return float(weights @ vals)
+        vals = _quadrature_price(a_risk, model, payoff, t, points, rule)
+    return vals if batch else float(vals[0])
 
 
 def default_fd_step(t: float, x: np.ndarray, T: float) -> float:
@@ -209,6 +214,49 @@ def default_fd_step(t: float, x: np.ndarray, T: float) -> float:
     return min(base, (T - t) / 16.0) if T > t else base
 
 
+def _fd_delta(a_risk, model, payoff, t, x, rule=None, fd_step=None) -> np.ndarray:
+    """Central finite-difference gradient of :func:`price_u` at one point (d,).
+
+    Gaussian smoothing makes the price C-infinity for t < T, so the FD is
+    well conditioned away from maturity; inside the 10-step guard band it
+    raises.
+    """
+    h = fd_step if fd_step is not None else default_fd_step(t, x, model.T)
+    if t > model.T - 10.0 * h:
+        raise InvalidTimeError(f"t={t} within 10 fd steps of maturity; reduce fd_step")
+    steps = h * np.eye(model.d)
+    vals = price_u(a_risk, model, payoff, t, np.vstack([x + steps, x - steps]), rule)
+    return (vals[: model.d] - vals[model.d :]) / (2.0 * h)
+
+
+def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
+    """Delta evaluator (t, (m, d) spots) -> (m, d), built once per payoff.
+
+    Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
+    otherwise :func:`_fd_delta` row by row.
+    """
+    if payoff.lipschitz_constant == 0.0:
+        def zero_delta(t, x):
+            return np.zeros_like(x)
+        return zero_delta
+    if isinstance(payoff, BasketCall):
+        a = payoff.a
+        strike = inflated_strike(payoff, a_risk, model.sigma)
+        v = a @ model.sigma.entries
+        var = float(v @ v)
+
+        def basket_delta(t, x):
+            m = (x @ a + strike) / math.sqrt((model.T - t) * var)
+            return ndtr(m)[:, None] * a[None, :]
+
+        return basket_delta
+
+    def fd_delta(t, x):
+        return np.stack([_fd_delta(a_risk, model, payoff, t, row, rule, fd_step) for row in x])
+
+    return fd_delta
+
+
 def delta_u(
     a_risk: float,
     model: BachelierModel,
@@ -217,48 +265,19 @@ def delta_u(
     x,
     rule: Optional[QuadratureRule] = None,
     fd_step: Optional[float] = None,
-    *,
-    force_fd: bool = False,
 ) -> np.ndarray:
     """Spatial gradient of the claim price.
 
-    Basket calls return the closed form a * Phi(m); otherwise central finite
-    differences of :func:`price_u` per coordinate.  Gaussian smoothing makes
-    the price C-infinity for t < T, so the FD is well conditioned away from
-    maturity; evaluation inside the 10-step guard band raises.
+    Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
+    for basket calls, and otherwise central finite differences of
+    :func:`price_u` per coordinate (see :func:`_fd_delta`).  ``x`` is one
+    point (d,), giving (d,), or a batch (m, d), giving (m, d).
     """
     if t >= model.T:
         raise InvalidTimeError("gradient undefined at maturity (payoff kinks)")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(payoff, BasketCall) and not force_fd:
-        return basket_delta_closed_form(a_risk, model, payoff, t, x)
-    h = fd_step if fd_step is not None else default_fd_step(t, x, model.T)
-    if t > model.T - 10.0 * h:
-        raise InvalidTimeError(f"t={t} within 10 fd steps of maturity; reduce fd_step")
-    grad = np.empty(model.d)
-    for i in range(model.d):
-        e = np.zeros(model.d)
-        e[i] = h
-        up = price_u(a_risk, model, payoff, t, x + e, rule)
-        dn = price_u(a_risk, model, payoff, t, x - e, rule)
-        grad[i] = (up - dn) / (2.0 * h)
-    return grad
-
-
-def basket_delta_closed_form(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: BasketCall,
-    t: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Closed-form gradient of the inflated basket call."""
-    b_inf = payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(payoff.a, model.sigma.entries)
-    scale = _basket_scale(model, payoff, t)
-    if scale == 0.0:
-        raise InvalidTimeError("delta undefined at zero remaining variance")
-    m = (float(x @ payoff.a) + b_inf) / scale
-    return payoff.a * ndtr(m)
+    points, batch = _as_points(x)
+    grads = _closed_form_delta_factory(a_risk, model, payoff, rule, fd_step)(t, points)
+    return grads if batch else grads[0]
 
 
 def pde_residual(
@@ -325,10 +344,8 @@ def limit_value(
     Claim price at the inventory-shifted spot plus the quadratic carrying
     value of the initial position.
     """
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    shifted = model.s0 - math.sqrt(a_risk) * row_vec_mul(phi0, model.sigma.entries)
     inventory = 0.5 * math.sqrt(a_risk) * quad_form(phi0, model.sigma.entries)
-    return price_u(a_risk, model, payoff, 0.0, shifted, rule) + inventory
+    return indifference_limit(a_risk, model, payoff, phi0, rule) + inventory
 
 
 def indifference_limit(

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from bachimpact import ConfigError, NotPositiveDefiniteError
 from bachimpact.cli import main
 from bachimpact.config import (
+    _SCHEMA,
     config_hash,
     emit_config,
     load_config,
@@ -207,6 +208,40 @@ class TestCli:
         cfg.write_text(MINIMAL)
         assert run_cli(["figure", "--config", cfg]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+
+NON_FINITE_CASES = [
+    (key, text)
+    for key, kind in sorted(_SCHEMA.items())
+    if kind in ("f", "fl")
+    for text in ("nan", "inf", "-inf")
+]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("key,text", NON_FINITE_CASES)
+    def test_rejected_with_key_named(self, key, text, tmp_path, capsys):
+        lines = [l for l in MINIMAL.splitlines() if not l.startswith(key + " ")]
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n")
+        assert run_cli(["price", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_generic_four_dim_price_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "generic4.cfg"
+        cfg.write_text(
+            "model.d = 4\nmodel.s0 = 1 1 1 1\nmodel.sigma = "
+            + " ".join("1" if i == j else "0" for i in range(4) for j in range(4))
+            + "\nmodel.T = 1.0\npayoff.kind = generic\npayoff.name = straddle\n"
+            "payoff.a = 0.5 0.5 0.5 0.5\npayoff.b = -2.0\nimpact.a_risk = 1.0\n"
+            "price.t = 0.3\nnumerics.seed = 7\n"
+        )
+        assert run_cli(["price", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "budget" in err
+        assert "Traceback" not in err
 
 
 class TestCheckCommand:

@@ -29,6 +29,7 @@ RUNS = {
     "hedge": ["hedge", "--config", "configs/hedge_atm.cfg"],
     "dual": ["dual", "--config", "configs/dual_atm.cfg"],
     "figure": ["figure", "--config", "configs/figure1.cfg"],
+    "price": ["price", "--config", "configs/figure1.cfg"],
 }
 
 

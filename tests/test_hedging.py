@@ -238,6 +238,21 @@ class TestSupermartingale:
         )
         assert mean_ratio <= 1.0 + 3.0 * se
 
+    def test_exponent_and_mc_check_share_the_certificate(self, sigma1, model2):
+        # the recorded process's terminal-over-initial ratio is the MC check's
+        # ratio at the same seed and paths; the wealth is summed two ways
+        # (recorded increments vs the engine's running sum), so not bit for bit
+        cases = [
+            (BachelierModel(s0=[8.0], mu=[0.5], sigma=sigma1, T=1.0), BasketCall(a=[1.0], b=-8.0), [0.3]),
+            (model2, BasketCall(a=[1.0, 0.5], b=-11.0), [0.2, -0.1]),
+        ]
+        for model, call, phi0 in cases:
+            grid = TimeGrid(n_steps=40, T=1.0)
+            rec = hedge_paths(1.0, 0.2, model, call, phi0, grid, 50, 27)
+            log_m = supermartingale_exponent(1.0, 0.2, model, call, rec)
+            mean_ratio, _ = supermartingale_check_mc(1.0, 0.2, model, call, phi0, grid, 50, 27)
+            assert np.exp(log_m[:, -1] - log_m[:, 0]).mean() == pytest.approx(mean_ratio, rel=1e-12)
+
     def test_empirical_supermartingale_with_drift(self, sigma1, atm_call):
         model = BachelierModel(s0=[8.0], mu=[0.5], sigma=sigma1, T=1.0)
         grid = TimeGrid(n_steps=500, T=1.0)

@@ -5,6 +5,7 @@ import pytest
 
 from bachimpact import (
     DimensionMismatchError,
+    InvalidParameterError,
     NonFiniteResultError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -43,6 +44,13 @@ class TestMakeSpd:
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetricError):
             make_spd([[1.0, 0.1], [0.0, 1.0]])
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                make_spd([[bad]])
+            with pytest.raises(InvalidParameterError, match="finite"):
+                make_spd([[1.0, bad], [bad, 1.0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -6,6 +6,7 @@ import pytest
 from bachimpact import (
     BachelierModel,
     BasketCall,
+    BudgetExceededError,
     DimensionMismatchError,
     GenericLipschitz,
     InvalidParameterError,
@@ -18,6 +19,7 @@ from bachimpact import (
     sup_convolve_argmax,
     zero_payoff,
 )
+from bachimpact.market import _sup_convolve_batch, antithetic_normals, substream
 
 
 class TestTypes:
@@ -130,6 +132,14 @@ class TestSimulatePaths:
             expected = model.s0 + model.mu * grid.knots[:, None] + w @ sigma2.entries
             assert np.abs(prices[i] - expected).max() < 1e-12
 
+    def test_substream_keys(self):
+        # every keyed draw is the Philox stream of its key, whatever the caller
+        key = np.array([11, 2], dtype=np.uint64)
+        direct = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 2))
+        assert np.array_equal(substream(11, 2).standard_normal((5, 2)), direct)
+        assert np.array_equal(brownian_increments(11, 2, 5, 2), direct)
+        assert np.array_equal(antithetic_normals((11, 2), 5, 2), np.vstack([direct, -direct]))
+
     def test_brownian_increment_scale(self, atm_model):
         grid = TimeGrid(n_steps=4, T=1.0)
         prices = recorded_prices(atm_model, grid, 1, seed=3)[0]
@@ -187,6 +197,39 @@ class TestSupConvolve:
             x, y = rng.normal(8.0, 2.0, size=2)
             gap = abs(sup_convolve(call, 1.0, sigma1, [x]) - sup_convolve(call, 1.0, sigma1, [y]))
             assert gap <= call.lipschitz_constant * abs(x - y) + 1e-12
+
+
+    def test_batch_equals_rows(self, sigma1, sigma2):
+        rng = np.random.default_rng(34)
+        cases = [
+            (BasketCall(a=[1.0], b=-8.0), sigma1, rng.normal(8.0, 2.0, size=(7, 1))),
+            (BasketCall(a=[1.0, -0.5], b=-2.0), sigma2, rng.normal(2.0, 2.0, size=(7, 2))),
+        ]
+        for call, sigma, xs in cases:
+            batch = sup_convolve(call, 1.5, sigma, xs)
+            assert batch.shape == (7,)
+            assert np.array_equal(batch, [sup_convolve(call, 1.5, sigma, x) for x in xs])
+            ys = sup_convolve_argmax(call, 1.5, sigma, xs)
+            assert ys.shape == xs.shape
+            assert np.array_equal(ys, [sup_convolve_argmax(call, 1.5, sigma, x) for x in xs])
+
+    def test_generic_three_dim_bounded_block(self):
+        # 41^3 candidates per point: the row block shrinks instead of
+        # allocating gigabytes, and the values stay finite and >= f
+        sigma = make_spd([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.9]])
+        payoff = GenericLipschitz(
+            fn=lambda x: np.abs(x @ np.array([0.5, 0.3, 0.2]) - 1.0), lipschitz_constant=0.62
+        )
+        xs = np.random.default_rng(35).normal(1.0, 1.0, size=(60, 3))
+        vals = sup_convolve(payoff, 1.0, sigma, xs)
+        assert vals.shape == (60,)
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals >= payoff.evaluate(xs) - 1e-12)
+
+    def test_generic_four_dim_refused(self):
+        payoff = GenericLipschitz(fn=lambda x: np.abs(x.sum(axis=-1)), lipschitz_constant=2.0)
+        with pytest.raises(BudgetExceededError):
+            _sup_convolve_batch(payoff, 1.0, make_spd(np.eye(4)), np.zeros((2, 4)))
 
 
 class TestArgmax:

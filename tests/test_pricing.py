@@ -19,7 +19,28 @@ from bachimpact import (
     sup_convolve,
     zero_payoff,
 )
-from bachimpact.pricing import coarsen_rule, default_quadrature
+from bachimpact.pricing import _fd_delta, _quadrature_price, coarsen_rule, default_quadrature
+
+
+def quadrature_price(a_risk, model, payoff, t, x, rule=None):
+    """The quadrature pricer at one point, whatever the payoff's kind."""
+    return float(_quadrature_price(a_risk, model, payoff, t, np.atleast_2d(x), rule)[0])
+
+
+def basket_batches(atm_model, atm_call, model2, seed):
+    """(model, basket call, (9, d) spots) for d = 1 and a correlated d = 2."""
+    rng = np.random.default_rng(seed)
+    return [
+        (atm_model, atm_call, rng.normal(8.0, 1.5, size=(9, 1))),
+        (model2, BasketCall(a=[1.0, 0.5], b=-11.0), rng.normal([8.0, 6.0], 1.5, size=(9, 2))),
+    ]
+
+
+def straddle(a, b):
+    a = np.asarray(a, dtype=float)
+    return GenericLipschitz(
+        fn=lambda x: np.abs(x @ a + b), lipschitz_constant=float(np.linalg.norm(a))
+    )
 
 
 class TestGaussHermite:
@@ -101,7 +122,7 @@ class TestPriceU:
 
     def test_quadrature_matches_closed_form(self, atm_model, atm_call, rule1):
         for x in (7.0, 8.0, 9.0):
-            quad_val = price_u(1.0, atm_model, atm_call, 0.0, [x], rule1, force_quadrature=True)
+            quad_val = quadrature_price(1.0, atm_model, atm_call, 0.0, [x], rule1)
             closed = price_u(1.0, atm_model, atm_call, 0.0, [x])
             assert abs(quad_val - closed) < 1e-5
 
@@ -130,9 +151,9 @@ class TestPriceU:
         v1 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], base)
         v2 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], fine)
         assert v1 == v2
-        # the forced quadrature branch converges below 1e-6 per refinement
-        q1 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], base, force_quadrature=True)
-        q2 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], fine, force_quadrature=True)
+        # the quadrature pricer converges below 1e-6 per refinement
+        q1 = quadrature_price(1.0, atm_model, atm_call, 0.0, [8.0], base)
+        q2 = quadrature_price(1.0, atm_model, atm_call, 0.0, [8.0], fine)
         assert abs(q1 - q2) < 1e-6
 
     def test_invalid_time(self, atm_model, atm_call):
@@ -144,8 +165,29 @@ class TestPriceU:
         model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
         call = BasketCall(a=[0.5, 0.5, 0.5, 0.5], b=-2.0)
         closed = price_u(1.0, model, call, 0.0, model.s0)
-        mc = price_u(1.0, model, call, 0.0, model.s0, None, force_quadrature=True)
+        mc = quadrature_price(1.0, model, call, 0.0, model.s0, None)
         assert abs(mc - closed) < 5e-3
+
+    def test_generic_dimension_four_over_budget(self):
+        # the 41^4-candidate search grid exceeds the node budget: refused
+        # before the candidate block is allocated
+        sigma = make_spd(np.eye(4))
+        model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
+        with pytest.raises(BudgetExceededError):
+            price_u(1.0, model, straddle([0.5] * 4, -2.0), 0.3, model.s0)
+
+    def test_basket_batch_equals_rows(self, atm_model, atm_call, model2):
+        for model, call, xs in basket_batches(atm_model, atm_call, model2, 8):
+            for t in (0.0, 0.4, 1.0):
+                batch = price_u(1.3, model, call, t, xs)
+                assert batch.shape == (len(xs),)
+                assert np.array_equal(batch, [price_u(1.3, model, call, t, x) for x in xs])
+
+    def test_generic_batch_equals_rows(self, atm_model, rule1):
+        payoff = straddle([1.0], -8.0)
+        xs = np.array([[7.2], [8.0], [9.1]])
+        batch = price_u(1.0, atm_model, payoff, 0.2, xs, rule1)
+        assert np.array_equal(batch, [price_u(1.0, atm_model, payoff, 0.2, x, rule1) for x in xs])
 
 
 class TestDeltaU:
@@ -160,16 +202,27 @@ class TestDeltaU:
 
     def test_fd_matches_closed_form(self, atm_model, atm_call):
         for x in np.linspace(6.5, 9.5, 7):
-            fd = delta_u(1.0, atm_model, atm_call, 0.0, [x], fd_step=1e-4, force_fd=True)
+            fd = _fd_delta(1.0, atm_model, atm_call, 0.0, np.array([x]), fd_step=1e-4)
             closed = delta_u(1.0, atm_model, atm_call, 0.0, [x])
             assert abs(fd[0] - closed[0]) < 1e-6
 
     def test_fd_matches_closed_form_2d(self, model2):
         call = BasketCall(a=[1.0, 0.5], b=-10.0)
         x = np.array([8.2, 6.1])
-        fd = delta_u(2.0, model2, call, 0.2, x, fd_step=1e-4, force_fd=True)
+        fd = _fd_delta(2.0, model2, call, 0.2, x, fd_step=1e-4)
         closed = delta_u(2.0, model2, call, 0.2, x)
         assert np.abs(fd - closed).max() < 1e-6
+
+    def test_basket_batch_equals_rows(self, atm_model, atm_call, model2):
+        for model, call, xs in basket_batches(atm_model, atm_call, model2, 9):
+            batch = delta_u(1.3, model, call, 0.4, xs)
+            assert batch.shape == xs.shape
+            assert np.array_equal(batch, [delta_u(1.3, model, call, 0.4, x) for x in xs])
+
+    def test_zero_lipschitz_claim_has_zero_delta(self, model2):
+        xs = np.array([[8.0, 6.0], [1.0, -3.0]])
+        assert np.array_equal(delta_u(1.0, model2, zero_payoff(), 0.5, xs), np.zeros((2, 2)))
+        assert np.array_equal(delta_u(1.0, model2, zero_payoff(), 0.5, xs[0]), [0.0, 0.0])
 
     def test_maturity_guard(self, atm_model, atm_call):
         with pytest.raises(InvalidTimeError):
