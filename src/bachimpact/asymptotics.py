@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,7 +32,7 @@ from .market import (
     sup_convolve_argmax,
     zero_payoff,
 )
-from .hedging import run_hedge_batch
+from .hedging import _as_impacts, run_hedge_batch
 from .pricing import QuadratureRule, coarsen_rule, default_quadrature
 
 LAM_DESK_FLOOR = 0.02
@@ -94,7 +94,7 @@ def _log_mean_exp(exponents: np.ndarray) -> tuple[float, float, float]:
 
 def certainty_equivalent_mc(
     a_risk: float,
-    lam: float,
+    lam: float | Sequence[float],
     model: BachelierModel,
     payoff: Payoff,
     phi0,
@@ -103,7 +103,7 @@ def certainty_equivalent_mc(
     seed: int,
     rule: Optional[QuadratureRule] = None,
     workers: int = 1,
-) -> CeEstimate:
+) -> CeEstimate | list[CeEstimate]:
     """Certainty equivalent along the tracking hedge, by simulation.
 
     Exponents (A/lam)(payoff - wealth) are aggregated with a shifted
@@ -111,27 +111,35 @@ def certainty_equivalent_mc(
     the delta method on the exponential mean.  The tracking family is
     asymptotically optimal rather than exactly infimising, so for finite
     impact this is an upper-bound proxy that converges to the limit value.
+    ``lam`` is one impact, giving one :class:`CeEstimate`, or a sequence of
+    impacts sharing ``grid``, giving one estimate per impact in order from
+    one pass over the same paths.
     """
-    if lam <= 0.0 or a_risk <= 0.0:
-        raise InvalidParameterError("lam and a_risk must be positive")
-    if lam < LAM_DESK_FLOOR:
-        warnings.warn(
-            f"lam={lam} below the desk floor {LAM_DESK_FLOOR}; "
-            "exponential-moment variance may be extreme",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    batch = run_hedge_batch(
-        a_risk, lam, model, payoff, phi0, grid, n_paths, seed, workers=workers, rule=rule
+    lams, many = _as_impacts(lam)
+    for impact in lams:
+        if impact <= 0.0 or a_risk <= 0.0:
+            raise InvalidParameterError("lam and a_risk must be positive")
+        if impact < LAM_DESK_FLOOR:
+            warnings.warn(
+                f"lam={impact} below the desk floor {LAM_DESK_FLOOR}; "
+                "exponential-moment variance may be extreme",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    batches = run_hedge_batch(
+        a_risk, lams, model, payoff, phi0, grid, n_paths, seed, workers=workers, rule=rule
     )
-    log_mean, mean_w, sd_w = _log_mean_exp(batch.utility_exponent)
-    value = (lam / a_risk) * log_mean
-    std_error = 0.0
-    if sd_w > 0.0:
-        std_error = (lam / a_risk) * sd_w / (mean_w * math.sqrt(n_paths))
-    return CeEstimate(
-        value=value, std_error=std_error, n_paths=n_paths, lam=lam, a_risk=a_risk
-    )
+    estimates = []
+    for impact, batch in zip(lams, batches):
+        log_mean, mean_w, sd_w = _log_mean_exp(batch.utility_exponent)
+        std_error = 0.0
+        if sd_w > 0.0:
+            std_error = (impact / a_risk) * sd_w / (mean_w * math.sqrt(n_paths))
+        estimates.append(CeEstimate(
+            value=(impact / a_risk) * log_mean, std_error=std_error, n_paths=n_paths,
+            lam=impact, a_risk=a_risk,
+        ))
+    return estimates if many else estimates[0]
 
 
 def indifference_price_mc(

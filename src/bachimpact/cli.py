@@ -111,18 +111,31 @@ def cmd_figure(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _per_impact(cfg: ExperimentConfig, run) -> tuple[dict, list]:
+    """``run(lams, grid)`` once per group of impacts sharing a step count, so
+    each group is hedged on one set of draws; the results and the
+    resolved-step header come back in ``cfg.lambdas`` order."""
+    grids = [_resolve_grid(cfg, lam) for lam in cfg.lambdas]
+    groups: dict[int, list[int]] = {}
+    for i, grid in enumerate(grids):
+        groups.setdefault(grid.n_steps, []).append(i)
+    results = [None] * len(cfg.lambdas)
+    for idx in groups.values():
+        for i, res in zip(idx, run([cfg.lambdas[i] for i in idx], grids[idx[0]])):
+            results[i] = res
+    resolved = {f"n_steps_lam_{lam:g}": g.n_steps for lam, g in zip(cfg.lambdas, grids)}
+    return resolved, results
+
+
 def cmd_hedge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Per-path tracking-hedge diagnostics over the impact list."""
     p = cfg.precision
+    resolved, batches = _per_impact(cfg, lambda lams, grid: hedging.run_hedge_batch(
+        cfg.a_risk, lams, cfg.model, cfg.payoff, cfg.phi0, grid,
+        cfg.n_paths, cfg.seed, workers=cfg.workers,
+    ))
     rows = []
-    resolved = {}
-    for lam in cfg.lambdas:
-        grid = _resolve_grid(cfg, lam)
-        resolved[f"n_steps_lam_{lam:g}"] = grid.n_steps
-        batch = hedging.run_hedge_batch(
-            cfg.a_risk, lam, cfg.model, cfg.payoff, cfg.phi0, grid,
-            cfg.n_paths, cfg.seed, workers=cfg.workers,
-        )
+    for lam, batch in zip(cfg.lambdas, batches):
         for i in range(cfg.n_paths):
             rows.append(
                 ",".join(
@@ -150,16 +163,13 @@ def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Certainty equivalent across the impact list against the limit value."""
     rule = _resolve_rule(cfg)
     limit = pricing.limit_value(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, rule)
+    resolved, estimates = _per_impact(cfg, lambda lams, grid: asymptotics.certainty_equivalent_mc(
+        cfg.a_risk, lams, cfg.model, cfg.payoff, cfg.phi0,
+        cfg.n_paths, grid, cfg.seed, rule, workers=cfg.workers,
+    ))
     rows = []
-    resolved = {}
     p = cfg.precision
-    for lam in cfg.lambdas:
-        grid = _resolve_grid(cfg, lam)
-        resolved[f"n_steps_lam_{lam:g}"] = grid.n_steps
-        est = asymptotics.certainty_equivalent_mc(
-            cfg.a_risk, lam, cfg.model, cfg.payoff, cfg.phi0,
-            cfg.n_paths, grid, cfg.seed, rule, workers=cfg.workers,
-        )
+    for lam, est in zip(cfg.lambdas, estimates):
         slack = hedging.drift_slack(cfg.a_risk, lam, cfg.model, cfg.payoff, cfg.phi0)
         rows.append(
             ",".join(
@@ -380,16 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw["numerics.seed"] = args.seed
-        if args.paths is not None:
-            cfg.n_paths = args.paths
-            cfg.raw["numerics.n_paths"] = args.paths
-        if args.workers is not None:
-            cfg.workers = args.workers
-            cfg.raw["numerics.workers"] = args.workers
+        flags = {"numerics.seed": args.seed, "numerics.n_paths": args.paths,
+                 "numerics.workers": args.workers}
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         return _COMMANDS[args.command](cfg, args.out, args.quiet)
     except (NonFiniteResultError, OverflowGuardError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -247,6 +247,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
     workers = merged["numerics.workers"]
     if workers < 1:
         raise ConfigError("numerics.workers must be >= 1")
+    if not 0 <= merged["numerics.seed"] < 2**64:
+        raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if merged["numerics.fd_step"] <= 0.0:
         raise ConfigError("numerics.fd_step must be positive")
     if merged["output.precision"] < 1:
@@ -276,9 +278,13 @@ def resolve_config(values: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Load and validate a config file; ``overrides`` (key -> typed value)
+    replace its keys first, so they pass the same checks."""
     with open(path, "r", encoding="utf-8") as fh:
-        return resolve_config(parse_config_text(fh.read()))
+        values = parse_config_text(fh.read())
+    values.update(overrides or {})
+    return resolve_config(values)
 
 
 def _format_value(kind: str, value) -> str:

@@ -22,21 +22,24 @@ independent references below (Duhamel, wealth, tracking target) can check it.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import SpdMatrix, inverse, mat_exp, row_vec_mul
-from .market import BachelierModel, Payoff, TimeGrid, brownian_increments
+from .market import BachelierModel, Payoff, TimeGrid, brownian_increments, substream
 from .pricing import QuadratureRule, _closed_form_delta_factory, delta_u, price_u
 
 AUTO_STEPS_FLOOR = 1000
 AUTO_STEPS_CAP = 100_000
 DEFAULT_CHUNK = 16_384
+# increments are drawn in step blocks of about this many doubles (16 MB)
+DRAW_BLOCK_DOUBLES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -259,64 +262,89 @@ def supermartingale_exponent(
 # ---------------------------------------------------------------------------
 
 
+def _as_impacts(lam) -> tuple[tuple, bool]:
+    """One impact or a sequence of impacts as a tuple, and whether it was a sequence."""
+    if np.ndim(lam) == 0:
+        return (lam,), False
+    lams = tuple(lam)
+    if not lams:
+        raise InvalidParameterError("need at least one impact value")
+    return lams, True
+
+
 def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     """Paths ``start..stop-1`` through the tracking hedge: the one engine loop.
 
-    Returns the seven :class:`HedgeBatch` arrays, then (prices, positions,
-    rates, targets) at every knot if ``record`` is set, else None.
+    Every impact in ``lams`` is stepped on the same grid and price paths,
+    along a leading impact axis, so each path's increments are drawn once for
+    all of them: in blocks of steps from the path's substream, kept alive
+    across blocks.  Returns the seven :class:`HedgeBatch` arrays flattened
+    impact-major (first axis L*m), then, if ``record`` is set for a single
+    impact, (prices, positions, rates, targets) at every knot, else None.
     ``frozen_targets`` (n, d) replaces the live targets of every path.
     """
-    (a_risk, lam, model, payoff, phi0, n, h, seed, start, stop, rule) = args
+    (a_risk, lams, model, payoff, phi0, n, h, seed, start, stop, rule) = args
     d = model.d
     m = stop - start
+    n_lam = len(lams)
     sqrt_h = math.sqrt(h)
-    relax = step_matrix(a_risk, lam, model.sigma, h)
+    relax = np.stack([step_matrix(a_risk, lam, model.sigma, h) for lam in lams])
+    lam_col = np.asarray(lams, dtype=float)[:, None]
+    half_lam = 0.5 * lam_col
     target_fn = _closed_form_delta_factory(a_risk, model, payoff, rule)
-    dw = np.empty((m, n, d))
-    for i in range(m):
-        dw[i] = brownian_increments(seed, start + i, n, d)
-    dw *= sqrt_h
+    rngs = [substream(seed, start + i) for i in range(m)]
+    block = max(1, min(n, DRAW_BLOCK_DOUBLES // (m * d)))
+    dw = np.empty((block, m, d))
 
     s = np.tile(model.s0, (m, 1))
-    phi = np.tile(np.atleast_1d(np.asarray(phi0, dtype=float)), (m, 1))
-    v = np.zeros(m)
-    cost = np.zeros(m)
-    sup_norm = np.linalg.norm(phi, axis=1)
+    phi = np.tile(np.atleast_1d(np.asarray(phi0, dtype=float)), (n_lam, m, 1))
+    v = np.zeros((n_lam, m))
+    cost = np.zeros((n_lam, m))
+    sup_norm = np.linalg.norm(phi, axis=-1)
     mu_h = model.mu * h
     sigma_entries = model.sigma.entries
     if record:
         prices, positions = np.empty((m, n + 1, d)), np.empty((m, n + 1, d))
         rates, targets = np.empty((m, n, d)), np.empty((m, n, d))
-        prices[:, 0], positions[:, 0] = s, phi
+        prices[:, 0], positions[:, 0] = s, phi[0]
     for k in range(n):
+        j = k % block
+        if j == 0:
+            rows = min(block, n - k)
+            for i, rng in enumerate(rngs):
+                dw[:rows, i] = brownian_increments(rng, rows, d)
+            dw[:rows] *= sqrt_h
         t_k = k * h
         if frozen_targets is None:
             shifted = s - math.sqrt(a_risk) * (phi @ sigma_entries)
-            theta = target_fn(t_k, shifted)
+            theta = target_fn(t_k, shifted.reshape(n_lam * m, d)).reshape(phi.shape)
         else:
-            theta = frozen_targets[k]
+            theta = np.broadcast_to(frozen_targets[k], phi.shape)
         phi_new = theta + (phi - theta) @ relax
         rate = (phi_new - phi) / h
-        ds = mu_h[None, :] + dw[:, k, :] @ sigma_entries
-        v += np.einsum("ij,ij->i", phi, ds)
-        step_cost = 0.5 * lam * np.einsum("ij,ij->i", rate, rate) * h
+        ds = mu_h[None, :] + dw[j] @ sigma_entries
+        v += np.einsum("lij,ij->li", phi, ds)
+        step_cost = half_lam * np.einsum("lij,lij->li", rate, rate) * h
         cost += step_cost
         v -= step_cost
         phi = phi_new
         s = s + ds
-        np.maximum(sup_norm, np.linalg.norm(phi, axis=1), out=sup_norm)
+        np.maximum(sup_norm, np.linalg.norm(phi, axis=-1), out=sup_norm)
         if record:
-            prices[:, k + 1], positions[:, k + 1] = s, phi
-            rates[:, k], targets[:, k] = rate, theta
+            prices[:, k + 1], positions[:, k + 1] = s, phi[0]
+            rates[:, k], targets[:, k] = rate[0], theta[0]
     f_t = np.asarray(payoff.evaluate(s), dtype=float)
-    exponent = (a_risk / lam) * (f_t - v)
+    exponent = (a_risk / lam_col) * (f_t - v)
     knots = (prices, positions, rates, targets) if record else None
-    return s, phi, v, f_t, exponent, cost, sup_norm, knots
+    return (
+        np.tile(s, (n_lam, 1)), phi.reshape(n_lam * m, d), v.ravel(), np.tile(f_t, n_lam),
+        exponent.ravel(), cost.ravel(), sup_norm.ravel(), knots,
+    )
 
 
 def run_hedge_batch(
     a_risk: float,
-    lam: float,
+    lam: float | Sequence[float],
     model: BachelierModel,
     payoff: Payoff,
     phi0,
@@ -326,23 +354,28 @@ def run_hedge_batch(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
     rule: Optional[QuadratureRule] = None,
-) -> HedgeBatch:
+) -> HedgeBatch | list[HedgeBatch]:
     """Tracking hedge over many paths without materialising path objects.
 
-    Paths are keyed substreams, chunk boundaries are fixed by ``chunk_size``
-    alone, and chunk results are reduced in index order, so output is
-    bit-identical for any worker count.
+    ``lam`` is one impact, giving one :class:`HedgeBatch`, or a sequence of
+    impacts sharing ``grid``, giving one batch per impact in order; the
+    impacts are stepped together on the same draws.  Paths are keyed
+    substreams, chunk boundaries are fixed by ``chunk_size`` alone, and chunk
+    results are reduced in index order, so output is bit-identical for any
+    worker count.  The pool never exceeds the chunk count or the CPU count.
     """
     if n_paths < 1:
         raise InvalidParameterError("n_paths must be >= 1")
+    lams, many = _as_impacts(lam)
     chunk_size = max(256, chunk_size // max(1, model.d))
     bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
     jobs = [
-        (a_risk, lam, model, payoff, np.atleast_1d(np.asarray(phi0, dtype=float)),
+        (a_risk, lams, model, payoff, np.atleast_1d(np.asarray(phi0, dtype=float)),
          grid.n_steps, grid.dt, seed, lo, hi, rule)
         for lo, hi in bounds
     ]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         try:
             import multiprocessing as mp
 
@@ -354,7 +387,13 @@ def run_hedge_batch(
             parts = [_hedge_chunk(j) for j in jobs]
     else:
         parts = [_hedge_chunk(j) for j in jobs]
-    return HedgeBatch(*(np.concatenate([p[i] for p in parts], axis=0) for i in range(7)))
+    n_lam = len(lams)
+    stacked = [
+        np.concatenate([p[i].reshape(n_lam, -1, *p[i].shape[1:]) for p in parts], axis=1)
+        for i in range(7)
+    ]
+    batches = [HedgeBatch(*(arr[l] for arr in stacked)) for l in range(n_lam)]
+    return batches if many else batches[0]
 
 
 def hedge_paths(
@@ -387,7 +426,7 @@ def hedge_paths(
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (n, d):
             raise DimensionMismatchError(f"theta must be ({n}, {d})")
-    job = (a_risk, lam, model, payoff, phi0, n, grid.dt, seed, 0, n_paths, None)
+    job = (a_risk, (lam,), model, payoff, phi0, n, grid.dt, seed, 0, n_paths, None)
     *summary, knots = _hedge_chunk(job, record=True, frozen_targets=theta)
     return HedgePaths(grid, *knots, batch=HedgeBatch(*summary))
 

@@ -129,13 +129,15 @@ def substream(*key: int) -> Generator:
     return Generator(Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def brownian_increments(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
-    """Standard-normal step draws for one path's counter-based substream.
+def brownian_increments(rng: Generator, n_steps: int, d: int) -> np.ndarray:
+    """The next ``n_steps`` standard-normal step draws of one path's substream.
 
-    Keyed by (seed, path_index) so every path is reproducible independent of
-    chunking, worker count or how many paths are simulated in total.
+    ``rng`` is the path's :func:`substream` keyed by (seed, path_index), so
+    every path is reproducible independent of chunking, worker count or how
+    many paths are simulated in total.  Successive calls continue the stream:
+    blocks of draws equal one call for all the steps, bit for bit.
     """
-    return substream(seed, path_index).standard_normal((n_steps, d))
+    return rng.standard_normal((n_steps, d))
 
 
 def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:
@@ -172,6 +174,14 @@ def _axis_offsets(radius: float, d: int, points: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
+def _search_candidates(d: int, grid_points: int = SEARCH_GRID_POINTS) -> int:
+    """Candidates per point of the generic grid search; over NODE_BUDGET raises."""
+    candidates = grid_points**d
+    if candidates > NODE_BUDGET:
+        raise BudgetExceededError(f"search grid {grid_points}^{d} exceeds the {NODE_BUDGET} budget")
+    return candidates
+
+
 def _sup_convolve_batch(
     payoff: Payoff,
     a_risk: float,
@@ -198,9 +208,7 @@ def _sup_convolve_batch(
     radius0 = _search_radius(payoff, a_risk, sigma)
     if radius0 == 0.0:
         return payoff.evaluate(x), np.zeros_like(x)
-    candidates = grid_points**d
-    if candidates > NODE_BUDGET:
-        raise BudgetExceededError(f"search grid {grid_points}^{d} exceeds the {NODE_BUDGET} budget")
+    candidates = _search_candidates(d, grid_points)
     row_block = max(1, min(row_block, row_block * SEARCH_GRID_POINTS**2 // candidates))
     best_val = payoff.evaluate(x)
     best_y = np.zeros_like(x)

@@ -38,6 +38,8 @@ from .market import (
     BasketCall,
     Payoff,
     _as_points,
+    _search_candidates,
+    _search_radius,
     _sup_convolve_batch,
     antithetic_normals,
     inflated_strike,
@@ -153,16 +155,27 @@ def _basket_price(a_risk, model, payoff, t, x) -> np.ndarray:
     return scale * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
 
 
+@lru_cache(maxsize=2)
+def _fallback_sample(d: int) -> np.ndarray:
+    """The d >= 4 antithetic Monte Carlo sample, drawn once per dimension."""
+    z = antithetic_normals((MC_FALLBACK_KEY, d), MC_FALLBACK_SAMPLES, d)
+    z.flags.writeable = False
+    return z
+
+
 def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     """Price at (m, d) spots by integrating g over ``rule``, for any payoff.
 
     ``rule`` None takes the per-dimension default, and from d = 4 an
-    antithetic Monte Carlo sample on a fixed substream.
+    antithetic Monte Carlo sample on a fixed substream.  A generic payoff
+    whose grid search is over budget is refused before anything is drawn.
     """
+    if not isinstance(payoff, BasketCall) and _search_radius(payoff, a_risk, model.sigma) > 0.0:
+        _search_candidates(model.d)
     if rule is None:
         rule = default_quadrature(model.d)
     if rule is None:
-        z = antithetic_normals((MC_FALLBACK_KEY, model.d), MC_FALLBACK_SAMPLES, model.d)
+        z = _fallback_sample(model.d)
         weights = np.full(len(z), 1.0 / len(z))
     else:
         z, weights = rule.nodes, rule.weights

@@ -168,6 +168,31 @@ class TestCli:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_converge_groups_step_counts_keep_order(self, tmp_path):
+        # sigma 2: lam 0.02 needs 2000 steps, 0.4 and 0.2 sit on the 1000 floor
+        from bachimpact import TimeGrid, auto_n_steps, certainty_equivalent_mc
+        from bachimpact.cli import _fmt
+
+        cfg = tmp_path / "two_grids.cfg"
+        cfg.write_text(
+            MINIMAL.replace("model.sigma = 1.0", "model.sigma = 2.0")
+            + "impact.lambdas = 0.4 0.02 0.2\nnumerics.n_paths = 64\n"
+        )
+        out = tmp_path / "converge.csv"
+        assert run_cli(["converge", "--config", cfg, "--out", out, "--quiet"]) == 0
+        text = out.read_text().splitlines()
+        assert [l for l in text if l.startswith("# n_steps")] == [
+            "# n_steps_lam_0.4=1000", "# n_steps_lam_0.02=2000", "# n_steps_lam_0.2=1000",
+        ]
+        body = [l for l in text if not l.startswith("#")][1:]
+        c = load_config(cfg)
+        for line, lam in zip(body, (0.4, 0.02, 0.2), strict=True):
+            grid = TimeGrid(n_steps=auto_n_steps(c.a_risk, lam, c.model), T=c.model.T)
+            est = certainty_equivalent_mc(
+                c.a_risk, lam, c.model, c.payoff, c.phi0, c.n_paths, grid, c.seed
+            )
+            assert line.split(",")[:3] == [_fmt(v, 9) for v in (lam, est.value, est.std_error)]
+
     def test_dual_csv(self, tmp_path, call_oracle):
         out = tmp_path / "dual.csv"
         cfg = tmp_path / "dual.cfg"
@@ -242,6 +267,44 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert "budget" in err
         assert "Traceback" not in err
+
+
+OUT_OF_RANGE_CASES = [
+    # (where the value is set, key named in the message, value)
+    ("config", "numerics.seed", "-1"),
+    ("config", "numerics.seed", str(2**64)),
+    ("config", "numerics.workers", "0"),
+    ("config", "numerics.n_paths", "0"),
+    ("--seed", "numerics.seed", "-1"),
+    ("--seed", "numerics.seed", str(2**64)),
+    ("--workers", "numerics.workers", "0"),
+    ("--paths", "numerics.n_paths", "0"),
+]
+
+
+class TestOutOfRangeNumerics:
+    @pytest.mark.parametrize("where,key,value", OUT_OF_RANGE_CASES)
+    def test_rejected_with_key_named(self, where, key, value, tmp_path, capsys):
+        cfg = tmp_path / "numerics.cfg"
+        flags = []
+        if where == "config":
+            lines = [l for l in MINIMAL.splitlines() if not l.startswith(key + " ")]
+            cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        else:
+            cfg.write_text(MINIMAL)
+            flags = [where, value]
+        assert run_cli(["figure", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / "hedge.csv"
+        args = ["hedge", "--config", cfg, "--seed", 2**64 - 1, "--paths", 2, "--out", out]
+        assert run_cli(args) == 0
+        assert f"# seed={2**64 - 1}" in out.read_text()
 
 
 class TestCheckCommand:

@@ -8,8 +8,10 @@ from scipy.stats import norm
 from bachimpact import (
     BachelierModel,
     BasketCall,
+    HedgeBatch,
     TimeGrid,
     auto_n_steps,
+    brownian_increments,
     duhamel_solution,
     hedge_paths,
     position_bound,
@@ -22,6 +24,8 @@ from bachimpact import (
     wealth_by_parts,
     zero_payoff,
 )
+from bachimpact import hedging
+from bachimpact.market import substream
 from bachimpact.pricing import limit_value
 
 
@@ -336,3 +340,87 @@ class TestBatchEngine:
         )
         assert np.array_equal(serial.utility_exponent, parallel.utility_exponent)
         assert np.array_equal(serial.s_terminal, parallel.s_terminal)
+
+
+BATCH_FIELDS = [f.name for f in fields(HedgeBatch)]
+STACK_LAMS = [0.4, 0.1, 0.05]
+
+
+def _drift_case(d, sigma1, model2):
+    # mu != 0 and phi0 != 0, so every term of the loop is exercised
+    if d == 1:
+        model = BachelierModel(s0=[8.0], mu=[0.3], sigma=sigma1, T=1.0)
+        return model, BasketCall(a=[1.0], b=-8.0), [0.2]
+    model = BachelierModel(s0=[8.0, 6.0], mu=[0.5, -0.3], sigma=model2.sigma, T=1.0)
+    return model, BasketCall(a=[1.0, 0.5], b=-11.0), [0.1, -0.2]
+
+
+def _assert_batches_equal(got, want):
+    for field in BATCH_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+class TestStackedImpacts:
+    """Several impacts on one grid are stepped together on shared draws."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stacked_equals_per_impact(self, d, workers, sigma1, model2):
+        model, payoff, phi0 = _drift_case(d, sigma1, model2)
+        grid = TimeGrid(n_steps=24, T=1.0)
+        # chunk_size 256 per coordinate: 300 paths make two chunks
+        run = dict(workers=workers, chunk_size=256 * d)
+        stacked = run_hedge_batch(1.0, STACK_LAMS, model, payoff, phi0, grid, 300, 41, **run)
+        assert len(stacked) == len(STACK_LAMS)
+        for lam, got in zip(STACK_LAMS, stacked):
+            want = run_hedge_batch(1.0, lam, model, payoff, phi0, grid, 300, 41, **run)
+            _assert_batches_equal(got, want)
+
+    def test_short_last_block_equals_one_block(self, sigma1, model2, monkeypatch):
+        model, payoff, phi0 = _drift_case(2, sigma1, model2)
+        grid = TimeGrid(n_steps=37, T=1.0)
+        whole = run_hedge_batch(1.0, STACK_LAMS, model, payoff, phi0, grid, 50, 43)
+        rec_whole = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 50, 43)
+        # 4-step blocks: nine full blocks and a last one of a single step
+        monkeypatch.setattr(hedging, "DRAW_BLOCK_DOUBLES", 4 * 50 * 2)
+        blocked = run_hedge_batch(1.0, STACK_LAMS, model, payoff, phi0, grid, 50, 43)
+        rec_blocked = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 50, 43)
+        for got, want in zip(blocked, whole):
+            _assert_batches_equal(got, want)
+        for name in ("prices", "positions", "rates", "targets"):
+            assert np.array_equal(getattr(rec_blocked, name), getattr(rec_whole, name)), name
+
+    def test_blocked_draws_continue_the_stream(self):
+        rng = substream(5, 3)
+        blocks = [brownian_increments(rng, rows, 2) for rows in (3, 3, 1)]
+        assert np.array_equal(np.vstack(blocks), brownian_increments(substream(5, 3), 7, 2))
+
+    def test_pool_clamped_to_chunks_and_cpus(self, atm_model, atm_call, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(hedging, "ProcessPoolExecutor", SerialPool)
+        grid = TimeGrid(n_steps=4, T=1.0)
+        # three 256-path chunks
+        args = (1.0, 0.2, atm_model, atm_call, [0.0], grid, 600, 3)
+        serial = run_hedge_batch(*args, chunk_size=256)
+        monkeypatch.setattr(hedging.os, "cpu_count", lambda: 8)
+        pooled = run_hedge_batch(*args, workers=64, chunk_size=256)
+        monkeypatch.setattr(hedging.os, "cpu_count", lambda: 2)
+        run_hedge_batch(*args, workers=64, chunk_size=256)
+        monkeypatch.setattr(hedging.os, "cpu_count", lambda: None)
+        run_hedge_batch(*args, workers=64, chunk_size=256)
+        assert sizes == [3, 2]
+        _assert_batches_equal(pooled, serial)

@@ -127,7 +127,7 @@ class TestSimulatePaths:
         grid = TimeGrid(n_steps=32, T=1.0)
         prices = recorded_prices(model, grid, 3, seed=11)
         for i in range(3):
-            dw = brownian_increments(11, i, 32, 2) * math.sqrt(grid.dt)
+            dw = brownian_increments(substream(11, i), 32, 2) * math.sqrt(grid.dt)
             w = np.vstack([np.zeros((1, 2)), np.cumsum(dw, axis=0)])
             expected = model.s0 + model.mu * grid.knots[:, None] + w @ sigma2.entries
             assert np.abs(prices[i] - expected).max() < 1e-12
@@ -137,7 +137,7 @@ class TestSimulatePaths:
         key = np.array([11, 2], dtype=np.uint64)
         direct = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 2))
         assert np.array_equal(substream(11, 2).standard_normal((5, 2)), direct)
-        assert np.array_equal(brownian_increments(11, 2, 5, 2), direct)
+        assert np.array_equal(brownian_increments(substream(11, 2), 5, 2), direct)
         assert np.array_equal(antithetic_normals((11, 2), 5, 2), np.vstack([direct, -direct]))
 
     def test_brownian_increment_scale(self, atm_model):

@@ -176,6 +176,25 @@ class TestPriceU:
         with pytest.raises(BudgetExceededError):
             price_u(1.0, model, straddle([0.5] * 4, -2.0), 0.3, model.s0)
 
+    def test_generic_over_budget_refused_before_drawing(self, monkeypatch):
+        # the refusal comes before the 10^6-row fallback sample is drawn
+        from bachimpact import pricing
+
+        drawn = []
+        monkeypatch.setattr(pricing, "antithetic_normals", lambda *a: drawn.append(a))
+        pricing._fallback_sample.cache_clear()
+        sigma = make_spd(np.eye(4))
+        model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
+        with pytest.raises(BudgetExceededError):
+            quadrature_price(1.0, model, straddle([0.5] * 4, -2.0), 0.3, model.s0)
+        assert drawn == []
+
+    def test_fallback_sample_drawn_once_per_dimension(self):
+        from bachimpact import pricing
+
+        assert pricing._fallback_sample(4) is pricing._fallback_sample(4)
+        assert not pricing._fallback_sample(4).flags.writeable
+
     def test_basket_batch_equals_rows(self, atm_model, atm_call, model2):
         for model, call, xs in basket_batches(atm_model, atm_call, model2, 8):
             for t in (0.0, 0.4, 1.0):
