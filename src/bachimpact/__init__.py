@@ -57,8 +57,6 @@ from .hedging import (
     run_hedge_batch,
     step_matrix,
     supermartingale_check_mc,
-    supermartingale_exponent,
-    tracking_target,
     wealth,
     wealth_by_parts,
 )
@@ -67,7 +65,6 @@ from .asymptotics import (
     DualSpec,
     certainty_equivalent_mc,
     dual_lower_bound,
-    indifference_price_mc,
     kernel_G,
     kernel_K,
     kernel_L,

@@ -22,7 +22,7 @@ from .errors import (
     OverflowGuardError,
     SingularDenominatorError,
 )
-from .linalg import SpdMatrix, hyperbolic_ratio, inverse, row_vec_mul
+from .linalg import SpdMatrix, from_spectrum, hyperbolic_ratio, inverse, row_vec_mul
 from .market import (
     BachelierModel,
     Payoff,
@@ -30,7 +30,6 @@ from .market import (
     _search_radius,
     antithetic_normals,
     sup_convolve_argmax,
-    zero_payoff,
 )
 from .hedging import _as_impacts, run_hedge_batch
 from .pricing import QuadratureRule, coarsen_rule, default_quadrature
@@ -140,49 +139,6 @@ def certainty_equivalent_mc(
             lam=impact, a_risk=a_risk,
         ))
     return estimates if many else estimates[0]
-
-
-def indifference_price_mc(
-    a_risk: float,
-    lam: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    phi0,
-    n_paths: int,
-    grid: TimeGrid,
-    seed: int,
-    rule: Optional[QuadratureRule] = None,
-    workers: int = 1,
-) -> CeEstimate:
-    """Indifference price as a difference of certainty equivalents.
-
-    The claim run and the zero-claim run share random numbers (the same
-    keyed substreams), each with its own tracking strategy; the standard
-    error accounts for the common-random-number covariance.  Like the
-    certainty equivalent it is an upper-bound proxy at finite impact and
-    converges to the indifference limit.
-    """
-    batch_f = run_hedge_batch(
-        a_risk, lam, model, payoff, phi0, grid, n_paths, seed, workers=workers, rule=rule
-    )
-    batch_0 = run_hedge_batch(
-        a_risk, lam, model, zero_payoff(), phi0, grid, n_paths, seed, workers=workers
-    )
-    log_f, mean_f, sd_f = _log_mean_exp(batch_f.utility_exponent)
-    log_0, mean_0, sd_0 = _log_mean_exp(batch_0.utility_exponent)
-    value = (lam / a_risk) * (log_f - log_0)
-    wf = np.exp(batch_f.utility_exponent - batch_f.utility_exponent.max())
-    w0 = np.exp(batch_0.utility_exponent - batch_0.utility_exponent.max())
-    var = 0.0
-    if n_paths > 1:
-        cov = float(np.cov(wf, w0, ddof=1)[0, 1])
-        var = (
-            (sd_f / mean_f) ** 2 + (sd_0 / mean_0) ** 2 - 2.0 * cov / (mean_f * mean_0)
-        ) / n_paths
-    std_error = (lam / a_risk) * math.sqrt(max(var, 0.0))
-    return CeEstimate(
-        value=value, std_error=std_error, n_paths=n_paths, lam=lam, a_risk=a_risk
-    )
 
 
 def dual_lower_bound(
@@ -346,10 +302,7 @@ def kernel_limit_integral(
     boundary = 0.5 * tau * _stable_inv_sinh_sq(y)
     bulk = _stable_coth(y) / (2.0 * c)
     vals = (boundary + bulk) if which == "K" else (bulk - boundary)
-    vals = vals / (2.0 * lam)
-    q = sigma.eig_vectors
-    out = (q * vals) @ q.T
-    return 0.5 * (out + out.T)
+    return from_spectrum(sigma.eig_vectors, vals / (2.0 * lam))
 
 
 def kernel_time_integral(
@@ -378,6 +331,4 @@ def kernel_time_integral(
             tail, _ = quad(integrand, split, T, limit=200)
             total += tail
         vals[i] = total
-    q = sigma.eig_vectors
-    out = (q * vals) @ q.T
-    return 0.5 * (out + out.T)
+    return from_spectrum(sigma.eig_vectors, vals)

@@ -251,6 +251,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if merged["numerics.fd_step"] <= 0.0:
         raise ConfigError("numerics.fd_step must be positive")
+    if merged["dual.n_random_specs"] < 0:
+        raise ConfigError("dual.n_random_specs must be >= 0")
     if merged["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1")
 

@@ -39,11 +39,6 @@ class SpdMatrix:
     eig_vectors: np.ndarray
     dim: int = field(default=0)
 
-    def reconstruct(self) -> np.ndarray:
-        """Q diag(lambda) Q^T, for invariant checking."""
-        q = self.eig_vectors
-        return (q * self.eig_values) @ q.T
-
     @property
     def max_eig(self) -> float:
         return float(self.eig_values[-1])
@@ -85,6 +80,12 @@ def make_spd(entries) -> SpdMatrix:
     return SpdMatrix(entries=m, eig_values=eig_values, eig_vectors=eig_vectors, dim=m.shape[0])
 
 
+def from_spectrum(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q^T, symmetrised so rounding leaves it exactly symmetric."""
+    out = (q * vals) @ q.T
+    return 0.5 * (out + out.T)
+
+
 def apply_scalar_function(m: SpdMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate a scalar function on the spectrum: Q diag(fn(lambda)) Q^T.
 
@@ -96,9 +97,7 @@ def apply_scalar_function(m: SpdMatrix, fn: Callable[[np.ndarray], np.ndarray]) 
         vals = np.asarray(fn(m.eig_values), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResultError("scalar function overflowed on the spectrum")
-    q = m.eig_vectors
-    out = (q * vals) @ q.T
-    return 0.5 * (out + out.T)
+    return from_spectrum(m.eig_vectors, vals)
 
 
 def _hyp_half_terms(kind: str, y: np.ndarray) -> np.ndarray:
@@ -147,20 +146,16 @@ def hyperbolic_ratio(
     vals = np.exp(p - q) * _hyp_half_terms(num, p) / den_corr
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResultError("hyperbolic ratio overflowed (num_scale > den_scale?)")
-    qmat = m.eig_vectors
-    out = (qmat * vals) @ qmat.T
-    return 0.5 * (out + out.T)
+    return from_spectrum(m.eig_vectors, vals)
 
 
 def inverse(m: SpdMatrix) -> SpdMatrix:
     """Inverse via reciprocal eigenvalues, sharing the eigenbasis."""
     inv_vals = 1.0 / m.eig_values
     q = m.eig_vectors
-    entries = (q * inv_vals) @ q.T
-    entries = 0.5 * (entries + entries.T)
     order = np.argsort(inv_vals)
     return SpdMatrix(
-        entries=entries,
+        entries=from_spectrum(q, inv_vals),
         eig_values=inv_vals[order],
         eig_vectors=q[:, order],
         dim=m.dim,

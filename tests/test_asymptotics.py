@@ -11,7 +11,6 @@ from bachimpact import (
     TimeGrid,
     certainty_equivalent_mc,
     dual_lower_bound,
-    indifference_price_mc,
     inverse,
     kernel_G,
     kernel_K,
@@ -91,30 +90,6 @@ class TestCertaintyEquivalent:
         grid = TimeGrid(n_steps=1000, T=1.0)
         est = certainty_equivalent_mc(1.0, 0.05, atm_model, zero_payoff(), [1.0], 4000, grid, 13)
         assert est.value == pytest.approx(0.5, abs=3.0 * est.std_error + 0.02)
-
-
-class TestIndifferencePrice:
-    def test_zero_payoff_exact_zero(self, atm_model):
-        grid = TimeGrid(n_steps=64, T=1.0)
-        est = indifference_price_mc(1.0, 0.2, atm_model, zero_payoff(), [0.5], 400, grid, 3)
-        assert est.value == 0.0
-
-    def test_zero_inventory_equals_ce(self, atm_model, atm_call):
-        grid = TimeGrid(n_steps=200, T=1.0)
-        diff = indifference_price_mc(1.0, 0.2, atm_model, atm_call, [0.0], 2000, grid, 5)
-        ce = certainty_equivalent_mc(1.0, 0.2, atm_model, atm_call, [0.0], 2000, grid, 5)
-        assert diff.value == pytest.approx(ce.value, abs=1e-14)
-
-    def test_trend_toward_indifference_limit(self, atm_model, atm_call, call_oracle):
-        grid = TimeGrid(n_steps=400, T=1.0)
-        limit = call_oracle(0.5)
-        errs = []
-        for lam in (0.4, 0.1):
-            est = indifference_price_mc(
-                1.0, lam, atm_model, atm_call, [0.3], 8000, grid, 17
-            )
-            errs.append((abs(est.value - limit), est.std_error))
-        assert errs[1][0] <= errs[0][0] + errs[0][1] + errs[1][1]
 
 
 class TestDualLowerBound:

@@ -279,6 +279,7 @@ OUT_OF_RANGE_CASES = [
     ("--seed", "numerics.seed", str(2**64)),
     ("--workers", "numerics.workers", "0"),
     ("--paths", "numerics.n_paths", "0"),
+    ("config", "dual.n_random_specs", "-2"),
 ]
 
 
@@ -324,3 +325,17 @@ class TestCheckCommand:
         )
         assert run_cli(["check", "--config", cfg]) == 1
         assert "positive" in capsys.readouterr().err
+
+    def test_overflowing_certificate_is_numeric_failure(self, tmp_path, capsys):
+        # at lam = 0.001 the certificate ratios overflow: exit 2, not a
+        # "mean ratio=inf" line with exit 1
+        cfg = tmp_path / "tiny_impact.cfg"
+        cfg.write_text(
+            (CONFIG_DIR / "check_default.cfg").read_text().replace(
+                "impact.lambdas = 0.2", "impact.lambdas = 0.001"
+            )
+        )
+        assert run_cli(["check", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "numeric failure" in captured.err
+        assert "ratio=inf" not in captured.out

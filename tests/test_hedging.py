@@ -17,9 +17,8 @@ from bachimpact import (
     position_bound,
     run_hedge_batch,
     step_matrix,
+    delta_u,
     supermartingale_check_mc,
-    supermartingale_exponent,
-    tracking_target,
     wealth,
     wealth_by_parts,
     zero_payoff,
@@ -44,24 +43,31 @@ class TestStepScaling:
         assert step_matrix(1.0, 0.1, sigma1, 0.05)[0, 0] == pytest.approx(math.exp(-0.5))
 
 
+def _shifted_delta(a_risk, model, payoff, t, s_t, phi_t):
+    """The engine's target: the claim's delta at the shifted spot s - sqrt(A) phi sigma."""
+    phi_t = np.atleast_1d(np.asarray(phi_t, dtype=float))
+    shifted = np.asarray(s_t, dtype=float) - math.sqrt(a_risk) * (phi_t @ model.sigma.entries)
+    return delta_u(a_risk, model, payoff, t, shifted)
+
+
 class TestTrackingTarget:
     def test_zero_payoff(self, atm_model):
-        theta = tracking_target(1.0, atm_model, zero_payoff(), 0.3, [8.0], [0.5])
+        theta = _shifted_delta(1.0, atm_model, zero_payoff(), 0.3, [8.0], [0.5])
         assert np.array_equal(theta, [0.0])
 
     def test_saturated(self, atm_model):
         call = BasketCall(a=[1.0], b=-8.0)
-        theta = tracking_target(1.0, atm_model, call, 0.0, [25.0], [0.0])
+        theta = _shifted_delta(1.0, atm_model, call, 0.0, [25.0], [0.0])
         assert abs(theta[0] - 1.0) < 1e-10
 
     def test_atm_value(self, atm_model, atm_call):
-        theta = tracking_target(1.0, atm_model, atm_call, 0.0, [8.0], [0.0])
+        theta = _shifted_delta(1.0, atm_model, atm_call, 0.0, [8.0], [0.0])
         assert theta[0] == pytest.approx(norm.cdf(0.5), abs=1e-12)
 
     def test_inventory_shift(self, atm_model, atm_call):
         # holding phi shifts the evaluation point down by sqrt(A) phi sigma
-        shifted = tracking_target(1.0, atm_model, atm_call, 0.0, [9.0], [1.0])
-        base = tracking_target(1.0, atm_model, atm_call, 0.0, [8.0], [0.0])
+        shifted = _shifted_delta(1.0, atm_model, atm_call, 0.0, [9.0], [1.0])
+        base = _shifted_delta(1.0, atm_model, atm_call, 0.0, [8.0], [0.0])
         assert shifted[0] == pytest.approx(base[0], abs=1e-12)
 
 
@@ -101,7 +107,7 @@ class TestIntegrateStrategy:
         phi = 0.0
         blew_up = False
         for k in range(grid.n_steps):
-            theta = tracking_target(1.0, atm_model, atm_call, grid.knots[k], prices[k], [phi])
+            theta = _shifted_delta(1.0, atm_model, atm_call, grid.knots[k], prices[k], [phi])
             phi = phi + (1.0 / lam) * (theta[0] - phi) * grid.dt
             if abs(phi) > 10.0:
                 blew_up = True
@@ -221,17 +227,18 @@ class TestBoundCheck:
 
 class TestSupermartingale:
     def test_zero_case_identically_zero(self, atm_model):
+        # the zero claim's hedge never trades from phi0 = 0: every ratio is 1
         grid = TimeGrid(n_steps=32, T=1.0)
-        rec = hedge_paths(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 2, 18)
-        log_m = supermartingale_exponent(1.0, 0.2, atm_model, zero_payoff(), rec)
-        assert np.array_equal(log_m, np.zeros((2, 33)))
+        checked = supermartingale_check_mc(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 2, 18)
+        assert checked == (1.0, 0.0)
 
     def test_initial_value_is_scaled_limit(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=16, T=1.0)
         for phi0 in ([0.0], [0.7]):
             rec = hedge_paths(1.0, 0.2, atm_model, atm_call, phi0, grid, 2, 19)
-            log_m = supermartingale_exponent(1.0, 0.2, atm_model, atm_call, rec)
-            assert log_m[:, 0] == pytest.approx(
+            s0, start = rec.prices[:, 0], rec.positions[:, 0]
+            log_m0 = hedging._certificate_log(1.0, 0.2, atm_model, atm_call, 0.0, s0, start, start, 0.0)
+            assert log_m0 == pytest.approx(
                 5.0 * limit_value(1.0, atm_model, atm_call, phi0), abs=1e-10
             )
 
@@ -243,9 +250,10 @@ class TestSupermartingale:
         assert mean_ratio <= 1.0 + 3.0 * se
 
     def test_exponent_and_mc_check_share_the_certificate(self, sigma1, model2):
-        # the recorded process's terminal-over-initial ratio is the MC check's
-        # ratio at the same seed and paths; the wealth is summed two ways
-        # (recorded increments vs the engine's running sum), so not bit for bit
+        # the certificate at the recorded terminal knots, over its initial
+        # value, is the MC check's ratio at the same seed and paths; the wealth
+        # is summed two ways (per-path wealth() vs the engine's running sum),
+        # so not bit for bit
         cases = [
             (BachelierModel(s0=[8.0], mu=[0.5], sigma=sigma1, T=1.0), BasketCall(a=[1.0], b=-8.0), [0.3]),
             (model2, BasketCall(a=[1.0, 0.5], b=-11.0), [0.2, -0.1]),
@@ -253,9 +261,19 @@ class TestSupermartingale:
         for model, call, phi0 in cases:
             grid = TimeGrid(n_steps=40, T=1.0)
             rec = hedge_paths(1.0, 0.2, model, call, phi0, grid, 50, 27)
-            log_m = supermartingale_exponent(1.0, 0.2, model, call, rec)
+            start = rec.positions[:, 0]
+            terminal_wealth = np.array([
+                wealth(p, x, r, 0.2, grid.dt) for p, x, r in zip(rec.prices, rec.positions, rec.rates)
+            ])
+            log_m_t = hedging._certificate_log(
+                1.0, 0.2, model, call, model.T, rec.prices[:, -1], rec.positions[:, -1], start,
+                terminal_wealth,
+            )
+            log_m_0 = hedging._certificate_log(
+                1.0, 0.2, model, call, 0.0, rec.prices[:, 0], start, start, 0.0
+            )
             mean_ratio, _ = supermartingale_check_mc(1.0, 0.2, model, call, phi0, grid, 50, 27)
-            assert np.exp(log_m[:, -1] - log_m[:, 0]).mean() == pytest.approx(mean_ratio, rel=1e-12)
+            assert np.exp(log_m_t - log_m_0).mean() == pytest.approx(mean_ratio, rel=1e-12)
 
     def test_empirical_supermartingale_with_drift(self, sigma1, atm_call):
         model = BachelierModel(s0=[8.0], mu=[0.5], sigma=sigma1, T=1.0)
@@ -296,7 +314,7 @@ def _check_record_against_references(a_risk, lam, model, payoff, phi0, n):
         oracle = duhamel_solution(a_risk, lam, model, rec.targets[i], phi0, grid)
         assert np.abs(positions - oracle).max() < 1e-10
         for k in (0, n // 3, n - 1):
-            target = tracking_target(
+            target = _shifted_delta(
                 a_risk, model, payoff, grid.knots[k], prices[k], positions[k]
             )
             assert np.abs(rec.targets[i, k] - target).max() < 1e-12

@@ -18,6 +18,7 @@ from bachimpact import (
     quad_form,
     row_vec_mul,
 )
+from bachimpact.linalg import from_spectrum
 
 
 def random_spd(rng, d, scale=1.0):
@@ -60,7 +61,7 @@ class TestMakeSpd:
         rng = np.random.default_rng(7)
         for d in (1, 2, 3, 4):
             m = random_spd(rng, d)
-            assert np.abs(m.reconstruct() - m.entries).max() < 1e-10
+            assert np.abs(from_spectrum(m.eig_vectors, m.eig_values) - m.entries).max() < 1e-10
             gram = m.eig_vectors.T @ m.eig_vectors
             assert np.abs(gram - np.eye(d)).max() < 1e-10
 
