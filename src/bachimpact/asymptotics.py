@@ -186,7 +186,8 @@ def dual_lower_bound(
 def _dual_on_rule(a_risk, model, payoff, phi0, spec, rule) -> float:
     w_terminal = math.sqrt(model.T) * rule.nodes
     terms = _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal)
-    return float(rule.weights @ terms)
+    # a fixed-order sum: a BLAS dot rounds differently with its thread count
+    return float(np.sum(rule.weights * terms))
 
 
 def _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal) -> np.ndarray:

@@ -183,7 +183,7 @@ def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     out = np.empty(len(x))
     for i, row in enumerate(x):
         vals, _ = _sup_convolve_batch(payoff, a_risk, model.sigma, row[None, :] + offsets)
-        out[i] = weights @ vals
+        out[i] = np.sum(weights * vals)  # fixed order, unlike a threaded BLAS dot
     return out
 
 

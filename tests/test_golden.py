@@ -4,9 +4,9 @@ Refactors of the engine are meant to leave every number unchanged, so each
 CSV's sha256 is compared with the digest in ``golden_outputs.json``.  Float
 results can move in the last bit across numpy/scipy releases, so the test
 skips when the installed versions differ from the ones the digests were
-recorded with.  Each run is a fresh process with BLAS pinned to one thread:
-multithreaded BLAS reductions round differently with the thread count (the
-``dual`` tolerance column shows it), and the digests are single-threaded.
+recorded with.  Each run is a fresh process with BLAS pinned to one thread,
+as the digests were recorded; the rule-weighted sums behind ``dual`` are
+fixed-order reductions, so its bytes must also match at two threads.
 """
 
 import hashlib
@@ -50,3 +50,18 @@ def test_csv_bytes_match_golden(name, tmp_path):
     )
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN["sha256"][name], f"{name} CSV bytes changed"
+
+
+def _run_dual(out: Path, threads: int) -> bytes:
+    env = {**os.environ, **{k: str(threads) for k in SINGLE_THREAD}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "bachimpact.cli", *RUNS["dual"], "--out", str(out), "--quiet"],
+        cwd=ROOT, env=env, check=True,
+    )
+    return out.read_bytes()
+
+
+def test_dual_bytes_independent_of_blas_threads(tmp_path):
+    # the rule-weighted sums are fixed-order reductions, not BLAS dots
+    assert _run_dual(tmp_path / "one.csv", 1) == _run_dual(tmp_path / "two.csv", 2)
