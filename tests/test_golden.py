@@ -22,7 +22,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
-SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 RUNS = {
     "converge": ["converge", "--config", "configs/converge_atm.cfg", "--paths", "2000"],
@@ -33,6 +33,17 @@ RUNS = {
 }
 
 
+def _run(name: str, out: Path, threads: int = 1) -> bytes:
+    """CSV bytes of one shipped run in a fresh process with BLAS at ``threads``."""
+    env = {**os.environ, **{k: str(threads) for k in THREAD_VARS}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "bachimpact.cli", *RUNS[name], "--out", str(out), "--quiet"],
+        cwd=ROOT, env=env, check=True,
+    )
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_csv_bytes_match_golden(name, tmp_path):
     versions = (np.__version__, scipy.__version__)
@@ -41,27 +52,10 @@ def test_csv_bytes_match_golden(name, tmp_path):
             f"digests recorded with numpy {GOLDEN['numpy']} / scipy {GOLDEN['scipy']}, "
             f"running numpy {versions[0]} / scipy {versions[1]}"
         )
-    out = tmp_path / f"{name}.csv"
-    env = {**os.environ, **SINGLE_THREAD}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-m", "bachimpact.cli", *RUNS[name], "--out", str(out), "--quiet"],
-        cwd=ROOT, env=env, check=True,
-    )
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = hashlib.sha256(_run(name, tmp_path / f"{name}.csv")).hexdigest()
     assert digest == GOLDEN["sha256"][name], f"{name} CSV bytes changed"
-
-
-def _run_dual(out: Path, threads: int) -> bytes:
-    env = {**os.environ, **{k: str(threads) for k in SINGLE_THREAD}}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-m", "bachimpact.cli", *RUNS["dual"], "--out", str(out), "--quiet"],
-        cwd=ROOT, env=env, check=True,
-    )
-    return out.read_bytes()
 
 
 def test_dual_bytes_independent_of_blas_threads(tmp_path):
     # the rule-weighted sums are fixed-order reductions, not BLAS dots
-    assert _run_dual(tmp_path / "one.csv", 1) == _run_dual(tmp_path / "two.csv", 2)
+    assert _run("dual", tmp_path / "one.csv") == _run("dual", tmp_path / "two.csv", threads=2)
