@@ -12,12 +12,12 @@ from bachimpact import (
     TimeGrid,
     auto_n_steps,
     brownian_increments,
+    delta_u,
     duhamel_solution,
     hedge_paths,
     position_bound,
     run_hedge_batch,
     step_matrix,
-    delta_u,
     supermartingale_check_mc,
     wealth,
     wealth_by_parts,
