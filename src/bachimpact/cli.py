@@ -29,6 +29,11 @@ EXIT_NUMERIC = 2
 
 
 def _fmt(value: float, precision: int) -> str:
+    """One CSV cell; a non-finite value raises before anything is written."""
+    if not math.isfinite(value):
+        raise NonFiniteResultError(
+            f"result {value} is not finite: an input is too large for double precision"
+        )
     return f"{value:.{precision}g}"
 
 
@@ -82,16 +87,16 @@ def cmd_price(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
                 residual = pricing.pde_residual(
                     a_risk, cfg.model, cfg.payoff, cfg.price_t, x, rule
                 )
+                derived = [*(_fmt(v, p) for v in delta), _fmt(residual, p)]
             else:
-                delta = np.full(d, math.nan)
-                residual = math.nan
+                # too close to maturity for differences: marked, not computed
+                derived = ["nan"] * (d + 1)
             row = [
                 _fmt(a_risk, p),
                 _fmt(cfg.price_t, p),
                 *(_fmt(v, p) for v in x),
                 _fmt(u_val, p),
-                *(_fmt(v, p) for v in delta),
-                _fmt(residual, p),
+                *derived,
             ]
             lines.append(",".join(row))
     _emit(lines, cfg, out)

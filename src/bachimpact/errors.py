@@ -18,7 +18,8 @@ class DimensionMismatchError(BachImpactError):
 
 
 class NonFiniteResultError(BachImpactError):
-    """A matrix function overflowed on the spectrum; use a stable ratio form."""
+    """A result is not finite: a matrix function overflowed on the spectrum
+    (use a stable ratio form) or an output value left double precision."""
 
 
 class SingularDenominatorError(BachImpactError):

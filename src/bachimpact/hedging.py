@@ -39,9 +39,11 @@ from .pricing import QuadratureRule, _closed_form_delta_factory, delta_u, price_
 
 AUTO_STEPS_FLOOR = 1000
 AUTO_STEPS_CAP = 100_000
-DEFAULT_CHUNK = 16_384
+DEFAULT_CHUNK = 4096
 # increments are drawn in step blocks of about this many doubles (16 MB)
 DRAW_BLOCK_DOUBLES = 1 << 21
+# paths per path-major tile that a block of draws passes through
+DRAW_TILE_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -226,35 +228,85 @@ def _as_impacts(lam) -> tuple[tuple, bool]:
     return lams, True
 
 
+def _products(d: int) -> tuple:
+    """The loop's (matrix product, row dot, squared row norm) for dimension ``d``.
+
+    In d=1 every matrix is 1x1, so each product and dot is one IEEE multiply:
+    elementwise, it gives the bits of the one-element BLAS call without the
+    call.  The squared norm is the sum of squares ``np.linalg.norm`` takes
+    the square root of (in d=1 x*x; |x| differs once x*x underflows).  Dots
+    and squared norms write into ``out`` (L, m).
+    """
+    if d == 1:
+        def dot(x, y, out):
+            return np.multiply(x[..., 0], y[..., 0], out=out)
+
+        return np.multiply, dot, lambda x, out: dot(x, x, out)
+
+    def dot(x, y, out):
+        return np.einsum("lij,lij->li" if y.ndim == 3 else "lij,ij->li", x, y, out=out)
+
+    def square_norm(x, out):
+        return np.add.reduce(x * x, axis=-1, out=out)
+
+    return np.matmul, dot, square_norm
+
+
+def _draw_block(rngs, dw, tile, rows: int, sqrt_h: float) -> None:
+    """Fill ``dw[:rows]`` (rows, m, d) with each path's next ``rows`` draws times sqrt(h).
+
+    A path's draws are one contiguous run; they pass through the path-major
+    ``tile`` and are copied transposed into ``dw`` a tile at a time, so
+    neither side is written a scattered column at a time.
+    """
+    width, d = tile.shape[0], tile.shape[2]
+    for lo in range(0, len(rngs), width):
+        part = rngs[lo:lo + width]
+        for i, rng in enumerate(part):
+            tile[i, :rows] = brownian_increments(rng, rows, d)
+        dst = dw[:rows, lo:lo + len(part)]
+        np.multiply(tile[:len(part), :rows].transpose(1, 0, 2), sqrt_h, out=dst)
+
+
 def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     """Paths ``start..stop-1`` through the tracking hedge: the one engine loop.
 
     Every impact in ``lams`` is stepped on the same grid and price paths,
     along a leading impact axis, so each path's increments are drawn once for
     all of them: in blocks of steps from the path's substream, kept alive
-    across blocks.  Returns the seven :class:`HedgeBatch` arrays flattened
-    impact-major (first axis L*m), then, if ``record`` is set for a single
-    impact, (prices, positions, rates, targets) at every knot, else None.
-    ``frozen_targets`` (n, d) replaces the live targets of every path.
+    across blocks (:func:`_draw_block`).  The step writes into buffers
+    allocated once per chunk, and in d=1 multiplies elementwise where the
+    matrix products are 1x1 (:func:`_products`); either way every bit is
+    that of the plain matrix expressions.  Returns the seven
+    :class:`HedgeBatch` arrays flattened impact-major (first axis L*m), then,
+    if ``record`` is set for a single impact, (prices, positions, rates,
+    targets) at every knot, else None.  ``frozen_targets`` (n, d) replaces
+    the live targets of every path.
     """
     (a_risk, lams, model, payoff, phi0, n, h, seed, start, stop, rule) = args
     d = model.d
     m = stop - start
     n_lam = len(lams)
-    sqrt_h = math.sqrt(h)
+    sqrt_a, sqrt_h = math.sqrt(a_risk), math.sqrt(h)
     relax = np.stack([step_matrix(a_risk, lam, model.sigma, h) for lam in lams])
     lam_col = np.asarray(lams, dtype=float)[:, None]
     half_lam = 0.5 * lam_col
     target_fn = _closed_form_delta_factory(a_risk, model, payoff, rule)
+    prod, dot, square_norm = _products(d)
     rngs = [substream(seed, start + i) for i in range(m)]
     block = max(1, min(n, DRAW_BLOCK_DOUBLES // (m * d)))
     dw = np.empty((block, m, d))
+    tile = np.empty((min(m, DRAW_TILE_PATHS), block, d))
 
     s = np.tile(model.s0, (m, 1))
     phi = np.tile(np.atleast_1d(np.asarray(phi0, dtype=float)), (n_lam, m, 1))
+    phi_new, shifted, gap, rate = (np.empty_like(phi) for _ in range(4))
+    ds = np.empty((m, d))
     v = np.zeros((n_lam, m))
     cost = np.zeros((n_lam, m))
-    sup_norm = np.linalg.norm(phi, axis=-1)
+    step_cost, scratch = np.empty((n_lam, m)), np.empty((n_lam, m))
+    # the sup of the norms is the root of the sup of their squares, bit for bit
+    sup_square = square_norm(phi, np.empty((n_lam, m)))
     mu_h = model.mu * h
     sigma_entries = model.sigma.entries
     if record:
@@ -264,26 +316,35 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     for k in range(n):
         j = k % block
         if j == 0:
-            rows = min(block, n - k)
-            for i, rng in enumerate(rngs):
-                dw[:rows, i] = brownian_increments(rng, rows, d)
-            dw[:rows] *= sqrt_h
+            _draw_block(rngs, dw, tile, min(block, n - k), sqrt_h)
         t_k = k * h
         if frozen_targets is None:
-            shifted = s - math.sqrt(a_risk) * (phi @ sigma_entries)
+            # shifted = s - sqrt(A) (phi sigma)
+            prod(phi, sigma_entries, out=shifted)
+            shifted *= sqrt_a
+            np.subtract(s, shifted, out=shifted)
             theta = target_fn(t_k, shifted.reshape(n_lam * m, d)).reshape(phi.shape)
         else:
             theta = np.broadcast_to(frozen_targets[k], phi.shape)
-        phi_new = theta + (phi - theta) @ relax
-        rate = (phi_new - phi) / h
-        ds = mu_h[None, :] + dw[j] @ sigma_entries
-        v += np.einsum("lij,ij->li", phi, ds)
-        step_cost = half_lam * np.einsum("lij,lij->li", rate, rate) * h
+        # phi_new = theta + (phi - theta) relax, rate = (phi_new - phi) / h
+        np.subtract(phi, theta, out=gap)
+        prod(gap, relax, out=phi_new)
+        phi_new += theta
+        np.subtract(phi_new, phi, out=rate)
+        rate /= h
+        # ds = mu h + dW sigma
+        prod(dw[j], sigma_entries, out=ds)
+        ds += mu_h
+        v += dot(phi, ds, scratch)
+        # step_cost = (lam/2) <rate, rate> h
+        dot(rate, rate, step_cost)
+        step_cost *= half_lam
+        step_cost *= h
         cost += step_cost
         v -= step_cost
-        phi = phi_new
-        s = s + ds
-        np.maximum(sup_norm, np.linalg.norm(phi, axis=-1), out=sup_norm)
+        phi, phi_new = phi_new, phi
+        s += ds
+        np.maximum(sup_square, square_norm(phi, scratch), out=sup_square)
         if record:
             prices[:, k + 1], positions[:, k + 1] = s, phi[0]
             rates[:, k], targets[:, k] = rate[0], theta[0]
@@ -292,7 +353,7 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     knots = (prices, positions, rates, targets) if record else None
     return (
         np.tile(s, (n_lam, 1)), phi.reshape(n_lam * m, d), v.ravel(), np.tile(f_t, n_lam),
-        exponent.ravel(), cost.ravel(), sup_norm.ravel(), knots,
+        exponent.ravel(), cost.ravel(), np.sqrt(sup_square).ravel(), knots,
     )
 
 

@@ -259,7 +259,9 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
         var = float(v @ v)
 
         def basket_delta(t, x):
-            m = (x @ a + strike) / math.sqrt((model.T - t) * var)
+            # in d=1 the dot is one multiply; elementwise gives its bits without BLAS
+            xa = x[:, 0] * a[0] if a.size == 1 else x @ a
+            m = (xa + strike) / math.sqrt((model.T - t) * var)
             return ndtr(m)[:, None] * a[None, :]
 
         return basket_delta

@@ -269,6 +269,31 @@ class TestNonFiniteInputs:
         assert "Traceback" not in err
 
 
+NON_FINITE_RESULT_CASES = [
+    # (subcommand, config line replaced, its replacement, extra flags)
+    ("figure", "model.sigma = 1.0", "model.sigma = 1e155", []),
+    ("figure", "payoff.a = 1.0", "payoff.a = 1e300", []),
+    ("converge", "model.sigma = 1.0", "model.sigma = 1e155", ["--paths", "16"]),
+]
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize(
+        "command,line,huge,flags", NON_FINITE_RESULT_CASES,
+        ids=["figure-sigma", "figure-a", "converge-sigma"],
+    )
+    def test_numeric_failure_writes_nothing(self, command, line, huge, flags, tmp_path, capsys):
+        # finite but huge inputs overflow to inf/nan results: exit 2, no rows
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(MINIMAL.replace(line, huge) + "numerics.n_steps = 8\n")
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out, "--quiet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 OUT_OF_RANGE_CASES = [
     # (where the value is set, key named in the message, value)
     ("config", "numerics.seed", "-1"),

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from bachimpact import (
@@ -24,7 +25,7 @@ from bachimpact import (
     zero_payoff,
 )
 from bachimpact import hedging
-from bachimpact.market import substream
+from bachimpact.market import inflated_strike, substream
 from bachimpact.pricing import limit_value
 
 
@@ -342,11 +343,33 @@ class TestBatchEngine:
             assert np.array_equal(rec.prices[:, -1], batch.s_terminal)
             assert np.array_equal(rec.positions[:, -1], batch.phi_terminal)
 
-    def test_chunking_invariance(self, atm_model, atm_call):
+    def test_chunking_invariance(self, sigma1, model2):
+        # 600 paths: three chunks of at most 256 paths against one chunk,
+        # each cut across a draw tile (600 is not a multiple of 256)
         grid = TimeGrid(n_steps=32, T=1.0)
-        big = run_hedge_batch(1.0, 0.2, atm_model, atm_call, [0.0], grid, 50, 24, chunk_size=4096)
-        small = run_hedge_batch(1.0, 0.2, atm_model, atm_call, [0.0], grid, 50, 24, chunk_size=256)
-        assert np.array_equal(big.utility_exponent, small.utility_exponent)
+        for d in (1, 2):
+            model, payoff, phi0 = _drift_case(d, sigma1, model2)
+            args = (1.0, STACK_LAMS, model, payoff, phi0, grid, 600, 24)
+            small = run_hedge_batch(*args, chunk_size=256 * d)
+            big = run_hedge_batch(*args, chunk_size=4096 * d)
+            for got, want in zip(small, big):
+                _assert_batches_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_partial_draw_tile_equals_default_tile(self, d, sigma1, model2, monkeypatch):
+        model, payoff, phi0 = _drift_case(d, sigma1, model2)
+        grid = TimeGrid(n_steps=37, T=1.0)
+        args = (1.0, STACK_LAMS, model, payoff, phi0, grid, 300, 45)
+        whole = run_hedge_batch(*args)
+        rec_whole = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 300, 45)
+        # 7-path tiles: 300 paths end on a tile of 6
+        monkeypatch.setattr(hedging, "DRAW_TILE_PATHS", 7)
+        tiled = run_hedge_batch(*args)
+        rec_tiled = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 300, 45)
+        for got, want in zip(tiled, whole):
+            _assert_batches_equal(got, want)
+        for name in KNOT_FIELDS:
+            assert np.array_equal(getattr(rec_tiled, name), getattr(rec_whole, name)), name
 
     def test_worker_invariance(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=32, T=1.0)
@@ -378,6 +401,94 @@ def _assert_batches_equal(got, want):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
+KNOT_FIELDS = ("prices", "positions", "rates", "targets")
+
+
+def _matrix_reference(a_risk, lams, model, payoff, phi0, grid, n_paths, seed, theta=None):
+    """The engine step written with plain matrix expressions, as one loop per run.
+
+    ``@``, ``einsum`` and ``np.linalg.norm`` on the whole of each path's
+    substream, with the basket delta spelled out: the bits the engine must
+    reproduce whatever products, buffers, chunks and draw blocks it uses.
+    Returns one :class:`HedgeBatch` per impact and the first impact's knots.
+    """
+    n, h, d = grid.n_steps, grid.dt, model.d
+    draws = [brownian_increments(substream(seed, i), n, d) for i in range(n_paths)]
+    dw = np.stack(draws, axis=1) * math.sqrt(h)
+    sigma = model.sigma.entries
+    relax = np.stack([step_matrix(a_risk, lam, model.sigma, h) for lam in lams])
+    lam_col = np.asarray(lams, dtype=float)[:, None]
+    a = payoff.a
+    strike = inflated_strike(payoff, a_risk, model.sigma)
+    var = float((a @ sigma) @ (a @ sigma))
+    s = np.tile(model.s0, (n_paths, 1))
+    phi = np.tile(np.asarray(phi0, dtype=float), (len(lams), n_paths, 1))
+    v, cost = np.zeros((len(lams), n_paths)), np.zeros((len(lams), n_paths))
+    sup_norm = np.linalg.norm(phi, axis=-1)
+    knots = {name: [] for name in KNOT_FIELDS}
+    knots["prices"].append(s)
+    knots["positions"].append(phi[0])
+    for k in range(n):
+        if theta is None:
+            x = (s - math.sqrt(a_risk) * (phi @ sigma)).reshape(-1, d)
+            m = (x @ a + strike) / math.sqrt((model.T - k * h) * var)
+            target = (ndtr(m)[:, None] * a[None, :]).reshape(phi.shape)
+        else:
+            target = np.broadcast_to(theta[k], phi.shape)
+        phi_new = target + (phi - target) @ relax
+        rate = (phi_new - phi) / h
+        ds = model.mu * h + dw[k] @ sigma
+        v += np.einsum("lij,ij->li", phi, ds)
+        step_cost = 0.5 * lam_col * np.einsum("lij,lij->li", rate, rate) * h
+        cost += step_cost
+        v -= step_cost
+        phi = phi_new
+        s = s + ds
+        sup_norm = np.maximum(sup_norm, np.linalg.norm(phi, axis=-1))
+        for name, value in zip(KNOT_FIELDS, (s, phi[0], rate[0], target[0])):
+            knots[name].append(value)
+    f_t = payoff.evaluate(s)
+    exponent = (a_risk / lam_col) * (f_t - v)
+    batches = [
+        HedgeBatch(s, phi[l], v[l], f_t, exponent[l], cost[l], sup_norm[l])
+        for l in range(len(lams))
+    ]
+    return batches, {name: np.stack(vals, axis=1) for name, vals in knots.items()}
+
+
+class TestMatrixReference:
+    """In d=1 the engine's elementwise products equal the 1x1 matrix products bit for bit."""
+
+    def test_batch_equals_matrix_expressions(self, sigma1, model2):
+        model, payoff, phi0 = _drift_case(1, sigma1, model2)
+        grid = TimeGrid(n_steps=37, T=1.0)
+        want, _ = _matrix_reference(1.0, STACK_LAMS, model, payoff, phi0, grid, 300, 47)
+        got = run_hedge_batch(1.0, STACK_LAMS, model, payoff, phi0, grid, 300, 47)
+        for g, w in zip(got, want):
+            _assert_batches_equal(g, w)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_knots_equal_matrix_expressions(self, frozen, sigma1, model2):
+        model, payoff, phi0 = _drift_case(1, sigma1, model2)
+        grid = TimeGrid(n_steps=37, T=1.0)
+        theta = np.random.default_rng(8).normal(size=(37, 1)) if frozen else None
+        (want_batch,), want = _matrix_reference(
+            1.0, (0.1,), model, payoff, phi0, grid, 300, 47, theta
+        )
+        rec = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 300, 47, theta)
+        for name in KNOT_FIELDS:
+            assert np.array_equal(getattr(rec, name), want[name]), name
+        _assert_batches_equal(rec.batch, want_batch)
+
+    def test_tiny_positions_keep_the_norm_of_their_square(self, sigma1):
+        # |phi| < 1.5e-154: phi*phi underflows, so sqrt(phi*phi) != |phi|
+        model = BachelierModel(s0=[8.0], mu=[0.0], sigma=sigma1, T=1.0)
+        grid = TimeGrid(n_steps=4, T=1.0)
+        batch = run_hedge_batch(1.0, 0.4, model, zero_payoff(), [1e-160], grid, 3, 1)
+        assert np.array_equal(batch.sup_position_norm, np.full(3, np.linalg.norm([1e-160])))
+        assert batch.sup_position_norm[0] != 1e-160
+
+
 class TestStackedImpacts:
     """Several impacts on one grid are stepped together on shared draws."""
 
@@ -405,7 +516,7 @@ class TestStackedImpacts:
         rec_blocked = hedge_paths(1.0, 0.1, model, payoff, phi0, grid, 50, 43)
         for got, want in zip(blocked, whole):
             _assert_batches_equal(got, want)
-        for name in ("prices", "positions", "rates", "targets"):
+        for name in KNOT_FIELDS:
             assert np.array_equal(getattr(rec_blocked, name), getattr(rec_whole, name)), name
 
     def test_blocked_draws_continue_the_stream(self):
