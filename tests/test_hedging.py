@@ -405,11 +405,11 @@ KNOT_FIELDS = ("prices", "positions", "rates", "targets")
 
 
 def _matrix_reference(a_risk, lams, model, payoff, phi0, grid, n_paths, seed, theta=None):
-    """The engine step written with plain matrix expressions, as one loop per run.
+    """The engine step written with the plain matrix expressions, all paths at once.
 
-    ``@``, ``einsum`` and ``np.linalg.norm`` on the whole of each path's
-    substream, with the basket delta spelled out: the bits the engine must
-    reproduce whatever products, buffers, chunks and draw blocks it uses.
+    ``@``, ``einsum`` and ``np.linalg.norm`` on each path's whole substream,
+    with the basket delta spelled out: the bits the engine must reproduce
+    whatever products, buffers, chunks and draw blocks it uses.
     Returns one :class:`HedgeBatch` per impact and the first impact's knots.
     """
     n, h, d = grid.n_steps, grid.dt, model.d
