@@ -30,6 +30,7 @@ from .market import (
     BasketCall,
     GenericLipschitz,
     Payoff,
+    RidgePayoff,
     TimeGrid,
     brownian_increments,
     sup_convolve,

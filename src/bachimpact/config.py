@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import make_spd
-from .market import BachelierModel, BasketCall, GenericLipschitz, Payoff, zero_payoff
+from .market import BachelierModel, BasketCall, Payoff, RidgePayoff, zero_payoff
 
 # value kinds: f float, i int, fl float list, s string, auto_i int-or-"auto"
 _SCHEMA = {
@@ -73,36 +73,15 @@ _DEFAULTS = {
 _REQUIRED = ("model.s0", "model.sigma", "model.T", "impact.a_risk", "numerics.seed")
 
 
-class _BasketFn:
-    """Picklable generic wrapper of the basket call, for cross-checks."""
-
-    def __init__(self, a, b):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = float(b)
-
-    def __call__(self, x):
-        return np.maximum(np.asarray(x, dtype=float) @ self.a + self.b, 0.0)
+def _positive_part(r: np.ndarray) -> np.ndarray:
+    return np.maximum(r, 0.0)
 
 
-class _StraddleFn:
-    """|<a, x> + b|, Lipschitz with constant ||a||."""
-
-    def __init__(self, a, b):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = float(b)
-
-    def __call__(self, x):
-        return np.abs(np.asarray(x, dtype=float) @ self.a + self.b)
-
-
+# ridge payoffs h(<a, x> + b) by profile: picklable, and tabulated in any d
 GENERIC_PAYOFFS = {
     "zero": lambda a, b: zero_payoff(),
-    "straddle": lambda a, b: GenericLipschitz(
-        fn=_StraddleFn(a, b), lipschitz_constant=float(np.linalg.norm(a)), name="straddle"
-    ),
-    "basket_call": lambda a, b: GenericLipschitz(
-        fn=_BasketFn(a, b), lipschitz_constant=float(np.linalg.norm(a)), name="basket_call"
-    ),
+    "straddle": lambda a, b: RidgePayoff(a=a, b=b, h=np.abs, name="straddle"),
+    "basket_call": lambda a, b: RidgePayoff(a=a, b=b, h=_positive_part, name="basket_call"),
 }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -92,7 +93,35 @@ class GenericLipschitz:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
 
-Payoff = Union[BasketCall, GenericLipschitz]
+@dataclass(frozen=True)
+class RidgePayoff:
+    """Payoff h(<a, x> + b) of a scalar profile ``h`` with slope at most 1.
+
+    ``h`` maps an array of scalars to an array of the same shape; it should
+    be a module-level function or ufunc, so the payoff pickles for worker
+    pools and its inflated-claim table can be cached by it.  The inflation
+    transform of a ridge payoff is a 1-D problem in r = <a, x> + b (see
+    :func:`sup_convolve`), which is what lets it be tabulated in any d.
+    """
+
+    a: np.ndarray
+    b: float
+    h: Callable[[np.ndarray], np.ndarray]
+    name: str = "ridge"
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
+        object.__setattr__(self, "b", float(self.b))
+
+    @property
+    def lipschitz_constant(self) -> float:
+        return float(np.linalg.norm(self.a))
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.h(np.asarray(x, dtype=float) @ self.a + self.b), dtype=float)
+
+
+Payoff = Union[BasketCall, RidgePayoff, GenericLipschitz]
 
 
 def _zero_fn(x: np.ndarray) -> np.ndarray:
@@ -182,6 +211,16 @@ def _search_candidates(d: int, grid_points: int = SEARCH_GRID_POINTS) -> int:
     return candidates
 
 
+def _ridge_terms(payoff: RidgePayoff, sigma: SpdMatrix) -> tuple[np.ndarray, float]:
+    """(a sigma, <a sigma, a>) of a ridge payoff."""
+    a_sig = payoff.a @ sigma.entries
+    return a_sig, float(a_sig @ payoff.a)
+
+
+def _on_column(h, r: np.ndarray) -> np.ndarray:
+    return h(r[..., 0])
+
+
 def _sup_convolve_batch(
     payoff: Payoff,
     a_risk: float,
@@ -193,8 +232,10 @@ def _sup_convolve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (n,) and argmaxes (n, d) of the transform at (n, d) points.
 
-    A row block holds (rows, grid_points^d, d) candidates, so it shrinks as
-    the grid grows (49 rows at d = 3); a grid over NODE_BUDGET raises.
+    A ridge payoff is searched as its 1-D problem in r (:func:`sup_convolve`);
+    a generic row block holds (rows, grid_points^d, d) candidates, so it
+    shrinks as the grid grows (49 rows at d = 3); a grid over NODE_BUDGET
+    raises.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
@@ -204,16 +245,38 @@ def _sup_convolve_batch(
         vals = np.maximum(inflated, 0.0)
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
+    if isinstance(payoff, RidgePayoff):
+        a_sig, quad = _ridge_terms(payoff, sigma)
+        scale = math.sqrt(a_risk) * quad
+        if scale == 0.0:
+            return payoff.evaluate(x), np.zeros_like(x)
+        # sup_z h(r + z) - z^2/(2c): the search with A = 1, sigma = [[c]], slope 1
+        vals, zs = _grid_search(
+            partial(_on_column, payoff.h), 2.0 * scale, 0.5, np.array([[1.0 / scale]]),
+            (x @ payoff.a + payoff.b)[:, None], rounds, grid_points, row_block,
+        )
+        return vals, zs * (a_sig / quad)[None, :]
 
     radius0 = _search_radius(payoff, a_risk, sigma)
     if radius0 == 0.0:
         return payoff.evaluate(x), np.zeros_like(x)
     candidates = _search_candidates(d, grid_points)
     row_block = max(1, min(row_block, row_block * SEARCH_GRID_POINTS**2 // candidates))
-    best_val = payoff.evaluate(x)
+    return _grid_search(
+        payoff.evaluate, radius0, 1.0 / (2.0 * math.sqrt(a_risk)), inverse(sigma).entries,
+        x, rounds, grid_points, row_block,
+    )
+
+
+def _grid_search(evaluate, radius0, inv_two_sqrt_a, sig_inv, x, rounds, grid_points, row_block):
+    """Best values and displacements of evaluate(x + y) - inv_two_sqrt_a <y sig_inv, y>.
+
+    A grid of ``grid_points`` per axis over the ball of ``radius0``, then
+    ``rounds`` grids shrunk by SEARCH_SHRINK around each row's best point.
+    """
+    n, d = x.shape
+    best_val = evaluate(x)
     best_y = np.zeros_like(x)
-    sig_inv = inverse(sigma).entries
-    inv_two_sqrt_a = 1.0 / (2.0 * math.sqrt(a_risk))
     for lo in range(0, n, row_block):
         hi = min(lo + row_block, n)
         xb = x[lo:hi]
@@ -225,7 +288,7 @@ def _sup_convolve_batch(
             offsets = _axis_offsets(radius, d, grid_points)
             cand = centers[:, None, :] + offsets[None, :, :]
             penalty = inv_two_sqrt_a * np.einsum("mgj,jk,mgk->mg", cand, sig_inv, cand)
-            obj = payoff.evaluate(xb[:, None, :] + cand) - penalty
+            obj = evaluate(xb[:, None, :] + cand) - penalty
             idx = np.argmax(obj, axis=1)
             rows = np.arange(xb.shape[0])
             improved = obj[rows, idx] > vb
@@ -242,10 +305,14 @@ def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
     """Inflated payoff sup_y [f(x+y) - <y sigma^{-1}, y>/(2 sqrt(a_risk))].
 
     This is the effective claim in the small-impact scaling limit.  Basket
-    calls use the closed form (<a,x> + :func:`inflated_strike`)^+; generic
-    payoffs are maximised by a bounded-ball grid search with local
-    refinement (the maximiser provably lies within
-    2 sqrt(a_risk) lam_max(sigma) L of the origin).  Always >= f(x).
+    calls use the closed form (<a,x> + :func:`inflated_strike`)^+.  A ridge
+    payoff h(<a,x> + b) is the scalar sup over z of h(r + z) - z^2/(2c) at
+    r = <a,x> + b, c = sqrt(a_risk) <a sigma, a>, attained at
+    y = z* a sigma / <a sigma, a>: one 41-point grid search in any d.  Other
+    generic payoffs are maximised by a bounded-ball grid search in R^d with
+    local refinement (the maximiser provably lies within
+    2 sqrt(a_risk) lam_max(sigma) L of the origin), refused from d = 4 by the
+    node budget.  Always >= f(x).
     ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
@@ -266,9 +333,10 @@ def sup_convolve_argmax(
 
     For basket calls returns sqrt(a_risk) * a sigma on the inflated-positive
     branch and 0 otherwise (ties at the kink resolve to 0, which keeps the
-    selector bounded and measurable).  Generic payoffs refine the grid search
-    until the residual resolution is below ``eps``.  ``x`` is one point (d,)
-    or a batch (m, d); the result is (d,) or (m, d).
+    selector bounded and measurable).  Ridge payoffs refine their 1-D search
+    until its resolution is below ``eps`` and return z* a sigma / <a sigma, a>;
+    other generic payoffs refine the grid search in R^d the same way.  ``x``
+    is one point (d,) or a batch (m, d); the result is (d,) or (m, d).
     """
     if a_risk <= 0.0 or eps <= 0.0:
         raise InvalidParameterError("a_risk and eps must be positive")
@@ -280,14 +348,19 @@ def sup_convolve_argmax(
 
 def _rounds_for_eps(payoff: Payoff, a_risk: float, sigma: SpdMatrix, eps: float) -> int:
     # basket calls never reach the search, so their rounds are never read
-    radius = _search_radius(payoff, a_risk, sigma)
+    if isinstance(payoff, RidgePayoff):
+        # the 1-D problem: slope 1, radius 2c, penalty z^2/(2c)
+        scale = math.sqrt(a_risk) * _ridge_terms(payoff, sigma)[1]
+        lipschitz, radius, curvature = 1.0, 2.0 * scale, scale
+    else:
+        lipschitz = payoff.lipschitz_constant
+        radius = _search_radius(payoff, a_risk, sigma)
+        curvature = math.sqrt(a_risk) * sigma.min_eig
     if radius == 0.0:
         return SEARCH_ROUNDS
     # objective is Lipschitz in y with constant at most slope_bound near the
     # ball; one grid spacing of resolution error per round
-    slope_bound = payoff.lipschitz_constant + radius / (
-        math.sqrt(a_risk) * sigma.min_eig
-    )
+    slope_bound = lipschitz + radius / curvature
     rounds = SEARCH_ROUNDS
     spacing = 2.0 * radius / (SEARCH_GRID_POINTS - 1)
     while slope_bound * spacing * SEARCH_SHRINK**rounds > eps and rounds < 12:

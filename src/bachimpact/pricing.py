@@ -6,7 +6,8 @@ The claim price is
     u(t, x) = E[ g(x + W_{T-t} sigma) ],
 
 with g the inflated payoff from :mod:`bachimpact.market`.  Basket calls
-dispatch to the normal-model closed form; everything else integrates g over a
+dispatch to the normal-model closed form; ridge payoffs integrate a cached
+1-D table of g along the ridge; everything else integrates g over a
 deterministic rule for N(0, I_d) abscissae.  For s the basket direction's
 vol, m the moneyness of the inflated strike, the closed form is the usual
 arithmetic-model pair
@@ -30,14 +31,17 @@ from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     InvalidTimeError,
+    NonFiniteResultError,
 )
-from .linalg import quad_form, row_vec_mul
+from .linalg import make_spd, quad_form, row_vec_mul
 from .market import (
     NODE_BUDGET,
     BachelierModel,
     BasketCall,
     Payoff,
+    RidgePayoff,
     _as_points,
+    _ridge_terms,
     _search_candidates,
     _search_radius,
     _sup_convolve_batch,
@@ -49,6 +53,17 @@ from .market import (
 # fallback Monte Carlo settings for d >= 4 (antithetic, fixed substream)
 MC_FALLBACK_SAMPLES = 500_000
 MC_FALLBACK_KEY = 0x9E3779B9
+# a ridge payoff's inflated claim G(r) is tabulated at spacing 5e-4 over
+# |r| <= TABLE_HALF_WIDTH (abscissae and values, 2.6 MB a table; at most
+# TABLE_CACHE tables, 15.4 MB, under a 16 MB cap); nodes outside take the
+# exact 1-D search, never an extrapolation
+TABLE_HALF_WIDTH = 40.0
+TABLE_NODES = 160_001
+TABLE_CACHE = 6
+# doubles per (spots, rule nodes) block of a ridge price
+RIDGE_BLOCK = 1 << 18
+# a ridge delta whose rounding bound exceeds this share of its unit slope range is refused
+RIDGE_DELTA_ROUNDING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -166,10 +181,14 @@ def _fallback_sample(d: int) -> np.ndarray:
 def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     """Price at (m, d) spots by integrating g over ``rule``, for any payoff.
 
-    ``rule`` None takes the per-dimension default, and from d = 4 an
-    antithetic Monte Carlo sample on a fixed substream.  A generic payoff
-    whose grid search is over budget is refused before anything is drawn.
+    A ridge payoff integrates its cached 1-D table along the ridge
+    (:func:`_ridge_price_delta`), in any d.  Otherwise ``rule`` None takes the
+    per-dimension default, and from d = 4 an antithetic Monte Carlo sample on
+    a fixed substream, and g is the grid search at every node; a generic
+    payoff whose search is over budget is refused before anything is drawn.
     """
+    if isinstance(payoff, RidgePayoff):
+        return _ridge_price_delta(a_risk, model, payoff, t, x, rule)[0]
     if not isinstance(payoff, BasketCall) and _search_radius(payoff, a_risk, model.sigma) > 0.0:
         _search_candidates(model.d)
     if rule is None:
@@ -187,6 +206,84 @@ def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=TABLE_CACHE)
+def _ridge_table(h, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and values of G(r) = sup_z h(r + z) - z^2/(2 scale) over the table span.
+
+    Filled at the first price that needs it, by the 1-D search of
+    :func:`_line_claim`, and shared by every call with the same profile and scale.
+    """
+    grid = np.linspace(-TABLE_HALF_WIDTH, TABLE_HALF_WIDTH, TABLE_NODES)
+    return grid, _line_claim(h, scale, grid)
+
+
+def _line_claim(h, scale: float, r: np.ndarray) -> np.ndarray:
+    """G at (n,) points r by the exact search: the ridge h(r) under A = 1, sigma = [[scale]]."""
+    line = RidgePayoff(a=[1.0], b=0.0, h=h)
+    return _sup_convolve_batch(line, 1.0, make_spd([[scale]]), r[:, None])[0]
+
+
+def _ridge_claim(h, scale: float, r: np.ndarray) -> np.ndarray:
+    """G at an array of r: the table interpolated inside its span, the exact search outside."""
+    if scale == 0.0:
+        return h(r)
+    grid, table = _ridge_table(h, scale)
+    vals = np.interp(r, grid, table)
+    outside = np.abs(r) > TABLE_HALF_WIDTH
+    if outside.any():
+        vals[outside] = _line_claim(h, scale, r[outside])
+    return vals
+
+
+def _ridge_price_delta(a_risk, model, payoff, t, x, rule=None, with_delta=False):
+    """Prices (m,) and, with ``with_delta``, deltas (m, d) of a ridge payoff at (m, d) spots.
+
+    With r = <a, x> + b the price integrates G(r + o) over the increment
+    o = <a, W_{T-t} sigma> ~ N(0, s^2), s = sqrt(T - t) |a sigma|: on the 1-D
+    default rule scaled by s when ``rule`` is None, else on ``rule`` projected
+    as o_k = sqrt(T - t) z_k sigma a^T.  The delta is the likelihood ratio
+    a E[G(r + o) o]/s^2 on the same evaluations:
+
+        u = sum_k w_k G(r + o_k),   delta = a sum_k w_k (G(r + o_k) - G(r)) z_k / s,
+
+    with z_k = o_k / s.  A delta whose rounding bound is over
+    RIDGE_DELTA_ROUNDING of its unit slope range raises NonFiniteResultError.
+    """
+    a_sig, quad = _ridge_terms(payoff, model.sigma)
+    scale = math.sqrt(a_risk) * quad
+    spread = math.hypot(*a_sig)  # no overflow in the squares
+    if rule is None:
+        rule = default_quadrature(1)
+        proj = rule.nodes[:, 0] * spread
+    else:
+        proj = rule.nodes @ a_sig
+    weights, offsets = rule.weights, math.sqrt(model.T - t) * proj
+    if with_delta:
+        s = math.sqrt(model.T - t) * spread
+        w_unit = weights * (offsets / s)  # w_k z_k, z_k = o_k / s of unit variance
+        # G is 1-Lipschitz, so |G(r + o_k)| <= |G(r)| + |o_k| bounds each difference's rounding
+        rounding = 2.0 * np.finfo(float).eps * np.sum(np.abs(w_unit)) / s
+        reach = np.abs(offsets).max()
+    r = x @ payoff.a + payoff.b
+    prices, slopes = np.empty(len(r)), np.empty(len(r))
+    rows = max(1, RIDGE_BLOCK // len(offsets))
+    for lo in range(0, len(r), rows):
+        rb = r[lo:lo + rows]
+        g = _ridge_claim(payoff.h, scale, rb[:, None] + offsets)
+        prices[lo:lo + rows] = np.sum(weights * g, axis=1)  # fixed order, unlike a BLAS dot
+        if with_delta:
+            g0 = _ridge_claim(payoff.h, scale, rb)
+            lost = rounding * (np.abs(g0) + reach)
+            if np.any(lost > RIDGE_DELTA_ROUNDING):
+                raise NonFiniteResultError(
+                    f"ridge delta rounding bound {lost.max():.3g} of its unit slope: the inflated"
+                    f" claim ({np.abs(g0).max():.3g}) is too large against its spread for double precision"
+                )
+            g -= g0[:, None]
+            slopes[lo:lo + rows] = np.sum(w_unit * g, axis=1) / s
+    return prices, (slopes[:, None] * payoff.a[None, :] if with_delta else None)
+
+
 def price_u(
     a_risk: float,
     model: BachelierModel,
@@ -199,7 +296,10 @@ def price_u(
 
     Integrates the inflated payoff over the Gaussian increment to maturity;
     at t == T this reduces to the inflated payoff itself, exactly.  Basket
-    calls use the closed form, other payoffs :func:`_quadrature_price`.
+    calls use the closed form, other payoffs :func:`_quadrature_price`: a
+    ridge payoff its cached 1-D table in any d (the 1-D default rule when
+    ``rule`` is None, else ``rule`` projected onto the ridge), and only a
+    non-ridge generic payoff the grid search at every node.
     ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
@@ -246,7 +346,8 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
     """Delta evaluator (t, (m, d) spots) -> (m, d), built once per payoff.
 
     Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
-    otherwise :func:`_fd_delta` row by row.
+    the likelihood-ratio delta of :func:`_ridge_price_delta` for ridge
+    payoffs, otherwise :func:`_fd_delta` row by row.
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
@@ -265,6 +366,11 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
             return ndtr(m)[:, None] * a[None, :]
 
         return basket_delta
+    if isinstance(payoff, RidgePayoff):
+        def ridge_delta(t, x):
+            return _ridge_price_delta(a_risk, model, payoff, t, x, rule, with_delta=True)[1]
+
+        return ridge_delta
 
     def fd_delta(t, x):
         return np.stack([_fd_delta(a_risk, model, payoff, t, row, rule, fd_step) for row in x])
@@ -284,9 +390,12 @@ def delta_u(
     """Spatial gradient of the claim price.
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
-    for basket calls, and otherwise central finite differences of
-    :func:`price_u` per coordinate (see :func:`_fd_delta`).  ``x`` is one
-    point (d,), giving (d,), or a batch (m, d), giving (m, d).
+    for basket calls, for ridge payoffs the likelihood-ratio delta from the
+    same table evaluations as their price (:func:`_ridge_price_delta`;
+    ``fd_step`` is unused), and only for other generic payoffs central
+    finite differences of :func:`price_u` per coordinate (see
+    :func:`_fd_delta`).  ``x`` is one point (d,), giving (d,), or a batch
+    (m, d), giving (m, d).
     """
     if t >= model.T:
         raise InvalidTimeError("gradient undefined at maturity (payoff kinks)")

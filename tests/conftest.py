@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from bachimpact import (
@@ -56,3 +59,13 @@ def bachelier_call_value(m: float) -> float:
 @pytest.fixture(scope="session")
 def call_oracle():
     return bachelier_call_value
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The benchmark's plain-Python closed forms (bench/reference.py), loaded read-only."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +255,8 @@ class TestNonFiniteInputs:
         assert key in err
         assert "Traceback" not in err
 
-    def test_generic_four_dim_price_refused(self, tmp_path, capsys):
+    def test_generic_four_dim_straddle_prices(self, tmp_path, reference):
+        # a ridge payoff needs no 41^d search: d = 4 prices from the 1-D table
         cfg = tmp_path / "generic4.cfg"
         cfg.write_text(
             "model.d = 4\nmodel.s0 = 1 1 1 1\nmodel.sigma = "
@@ -263,10 +265,17 @@ class TestNonFiniteInputs:
             "payoff.a = 0.5 0.5 0.5 0.5\npayoff.b = -2.0\nimpact.a_risk = 1.0\n"
             "price.t = 0.3\nnumerics.seed = 7\n"
         )
-        assert run_cli(["price", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "budget" in err
-        assert "Traceback" not in err
+        out = tmp_path / "price4.csv"
+        assert run_cli(["price", "--config", cfg, "--out", out]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 2
+        values = dict(zip(rows[0].split(","), map(float, rows[1].split(","))))
+        want, want_delta = reference.straddle(
+            1.0, [0.5] * 4, -2.0, np.eye(4).tolist(), 1.0, 0.3, [1.0] * 4
+        )
+        assert abs(values["u_value"] - want) < 1e-5
+        for i in range(4):
+            assert abs(values[f"delta_{i}"] - want_delta[i]) < 1e-5
 
 
 NON_FINITE_RESULT_CASES = [
@@ -292,6 +301,35 @@ class TestNonFiniteResults:
         assert "numeric failure" in err and "not finite" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+HUGE_RIDGE_CASES = [("payoff.a = 1.0", "payoff.a = 1e150"), ("model.sigma = 1.0", "model.sigma = 1e155")]
+
+
+class TestHugeRidgeInputs:
+    @pytest.mark.parametrize("line,huge", HUGE_RIDGE_CASES, ids=["a", "sigma"])
+    def test_refused_in_bounded_memory(self, line, huge, tmp_path, capsys):
+        # the inflated claim at 1e300 has no digit left for a delta of
+        # spread 1e150; sigma^2 overflows the residual: exit 2, no rows, and
+        # the table stays its fixed size whatever the scale
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            MINIMAL.replace("payoff.kind = basket_call", "payoff.kind = generic\npayoff.name = straddle")
+            .replace(line, huge)
+        )
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(["price", "--config", cfg, "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        assert err.strip()
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert peak < 64 * 2**20
 
 
 OUT_OF_RANGE_CASES = [
