@@ -276,8 +276,9 @@ def _ridge_price_delta(a_risk, model, payoff, t, x, rule=None, with_delta=False)
             lost = rounding * (np.abs(g0) + reach)
             if np.any(lost > RIDGE_DELTA_ROUNDING):
                 raise NonFiniteResultError(
-                    f"ridge delta rounding bound {lost.max():.3g} of its unit slope: the inflated"
-                    f" claim ({np.abs(g0).max():.3g}) is too large against its spread for double precision"
+                    f"ridge delta rounding bound {lost.max():.3g} of its unit slope: the"
+                    f" inflated claim ({np.abs(g0).max():.3g}) is too large against its"
+                    " spread for double precision"
                 )
             g -= g0[:, None]
             slopes[lo:lo + rows] = np.sum(w_unit * g, axis=1) / s

@@ -303,7 +303,10 @@ class TestNonFiniteResults:
         assert not out.exists()
 
 
-HUGE_RIDGE_CASES = [("payoff.a = 1.0", "payoff.a = 1e150"), ("model.sigma = 1.0", "model.sigma = 1e155")]
+HUGE_RIDGE_CASES = [
+    ("payoff.a = 1.0", "payoff.a = 1e150"),
+    ("model.sigma = 1.0", "model.sigma = 1e155"),
+]
 
 
 class TestHugeRidgeInputs:
@@ -313,10 +316,8 @@ class TestHugeRidgeInputs:
         # spread 1e150; sigma^2 overflows the residual: exit 2, no rows, and
         # the table stays its fixed size whatever the scale
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text(
-            MINIMAL.replace("payoff.kind = basket_call", "payoff.kind = generic\npayoff.name = straddle")
-            .replace(line, huge)
-        )
+        generic = "payoff.kind = generic\npayoff.name = straddle"
+        cfg.write_text(MINIMAL.replace("payoff.kind = basket_call", generic).replace(line, huge))
         out = tmp_path / "out.csv"
         tracemalloc.start()
         try:

@@ -57,7 +57,8 @@ def ridge_market(draw, dims=(1, 2, 3)):
     unit = st.floats(-1.0, 1.0)
     m = np.array(draw(st.lists(unit, min_size=d * d, max_size=d * d))).reshape(d, d)
     sigma = make_spd(m @ m.T / d + draw(st.floats(0.3, 1.0)) * np.eye(d))
-    a = np.array(draw(st.lists(st.floats(0.2, 1.0) | st.floats(-1.0, -0.2), min_size=d, max_size=d)))
+    entry = st.floats(0.2, 1.0) | st.floats(-1.0, -0.2)
+    a = np.array(draw(st.lists(entry, min_size=d, max_size=d)))
     # on a kink the 1-D default rule errs by about 1e-7 s in price, and the
     # table's interpolation by about 3e-7 (0.06/s)^2 in delta: with t <= 0.9
     # the spread s = sqrt(T - t) |a sigma| stays in [0.09, 2]
@@ -105,7 +106,8 @@ class TestRidgeTransform:
             attained = float(ridge.evaluate(x + y)) - y @ sig_inv @ y / (2.0 * math.sqrt(a_risk))
             c = math.sqrt(a_risk) * float(a @ sigma.entries @ a)
             best = exact_claim(name, float(x @ a + b), c)
-            assert best - eps - 1e-12 * (1.0 + abs(best)) <= attained <= best + 1e-12 * (1.0 + abs(best))
+            rounding = 1e-12 * (1.0 + abs(best))
+            assert best - eps - rounding <= attained <= best + rounding
 
 
 class TestRidgePricing:
@@ -119,7 +121,9 @@ class TestRidgePricing:
         prices = price_u(a_risk, model, ridge, t, spots)
         deltas = delta_u(a_risk, model, ridge, t, spots)
         for x, p, g in zip(spots, prices, deltas):
-            want, want_delta = getattr(reference, name)(a_risk, a, b, sigma.entries.tolist(), 1.0, t, x)
+            want, want_delta = getattr(reference, name)(
+                a_risk, a, b, sigma.entries.tolist(), 1.0, t, x
+            )
             assert abs(p - want) < 1e-6
             assert np.abs(g - want_delta).max() < 1e-6
 
@@ -130,8 +134,9 @@ class TestRidgePricing:
         d = sigma.dim
         model = BachelierModel(s0=spots[0], mu=np.zeros(d), sigma=sigma, T=1.0)
         wrapper, call = GENERIC_PAYOFFS["basket_call"](a, b), BasketCall(a=a, b=b)
-        assert np.abs(price_u(a_risk, model, wrapper, t, spots) - price_u(a_risk, model, call, t, spots)).max() < 1e-6
-        assert np.abs(delta_u(a_risk, model, wrapper, t, spots) - delta_u(a_risk, model, call, t, spots)).max() < 1e-6
+        for fn in (price_u, delta_u):
+            gap = fn(a_risk, model, wrapper, t, spots) - fn(a_risk, model, call, t, spots)
+            assert np.abs(gap).max() < 1e-6
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(ridge_market(dims=(1, 2)), st.integers(1, 2**32))
@@ -140,16 +145,16 @@ class TestRidgePricing:
         d = sigma.dim
         model = BachelierModel(s0=spots[0], mu=np.zeros(d), sigma=sigma, T=1.0)
         grid = TimeGrid(n_steps=32, T=1.0)
-        args = (0.2, model)
-        wrapped = certainty_equivalent_mc(
-            a_risk, *args, GENERIC_PAYOFFS["basket_call"](a, b), np.zeros(d), 64, grid, seed
+        wrapped, closed = (
+            certainty_equivalent_mc(a_risk, 0.2, model, payoff, np.zeros(d), 64, grid, seed)
+            for payoff in (GENERIC_PAYOFFS["basket_call"](a, b), BasketCall(a=a, b=b))
         )
-        closed = certainty_equivalent_mc(a_risk, *args, BasketCall(a=a, b=b), np.zeros(d), 64, grid, seed)
         assert abs(wrapped.value - closed.value) <= closed.std_error
 
     def test_projected_rule_keeps_its_accuracy(self, model2):
         # a d-dim rule is projected onto the ridge: the same sum as on g in R^d
-        ridge, call = GENERIC_PAYOFFS["basket_call"](np.array([1.0, 0.5]), -11.0), BasketCall(a=[1.0, 0.5], b=-11.0)
+        a = np.array([1.0, 0.5])
+        ridge, call = GENERIC_PAYOFFS["basket_call"](a, -11.0), BasketCall(a=a, b=-11.0)
         rule = pricing.build_gauss_hermite(12, 2)
         x = np.array([8.3, 5.7])
         on_table = price_u(1.2, model2, ridge, 0.3, x, rule)
