@@ -77,7 +77,8 @@ def _positive_part(r: np.ndarray) -> np.ndarray:
     return np.maximum(r, 0.0)
 
 
-# ridge payoffs h(<a, x> + b) by profile: picklable, and tabulated in any d
+# generic payoffs by name; straddle and basket_call are ridge payoffs h(<a, x> + b)
+# of a module-level profile, so they pickle and tabulate in any d
 GENERIC_PAYOFFS = {
     "zero": lambda a, b: zero_payoff(),
     "straddle": lambda a, b: RidgePayoff(a=a, b=b, h=np.abs, name="straddle"),
