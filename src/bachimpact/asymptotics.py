@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InvalidParameterError,
@@ -316,6 +315,8 @@ def kernel_time_integral(
     verify the kernels independently.  The integrand's boundary layer near
     t = s is split off explicitly for the adaptive integrator.
     """
+    from scipy.integrate import quad  # only this cross-check integrates adaptively
+
     _kernel_pre(lam, T, s, s, s_strict=True)
     c = math.sqrt(a_risk) / lam
     vals = np.empty(sigma.dim)

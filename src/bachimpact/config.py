@@ -73,16 +73,17 @@ _DEFAULTS = {
 _REQUIRED = ("model.s0", "model.sigma", "model.T", "impact.a_risk", "numerics.seed")
 
 
-def _positive_part(r: np.ndarray) -> np.ndarray:
-    return np.maximum(r, 0.0)
+def _profile(name: str, slopes: tuple):
+    """Registry builder of the ridge payoff h(<a, x> + b), h(y) = max_i(slopes_i y)."""
+    return lambda a, b: RidgePayoff(a, b, slopes, (0.0,) * len(slopes), name=name)
 
 
-# generic payoffs by name; straddle and basket_call are ridge payoffs h(<a, x> + b)
-# of a module-level profile, so they pickle and tabulate in any d
+# generic payoffs by name; straddle and basket_call are ridge payoffs whose
+# profile is data, priced exactly in any d
 GENERIC_PAYOFFS = {
     "zero": lambda a, b: zero_payoff(),
-    "straddle": lambda a, b: RidgePayoff(a=a, b=b, h=np.abs, name="straddle"),
-    "basket_call": lambda a, b: RidgePayoff(a=a, b=b, h=_positive_part, name="basket_call"),
+    "straddle": _profile("straddle", (-1.0, 1.0)),
+    "basket_call": _profile("basket_call", (0.0, 1.0)),
 }
 
 

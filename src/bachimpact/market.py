@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -95,30 +94,45 @@ class GenericLipschitz:
 
 @dataclass(frozen=True)
 class RidgePayoff:
-    """Payoff h(<a, x> + b) of a scalar profile ``h`` with slope at most 1.
+    """Payoff h(<a, x> + b) of a convex profile h(y) = max_i(slopes_i y + intercepts_i).
 
-    ``h`` maps an array of scalars to an array of the same shape; it should
-    be a module-level function or ufunc, so the payoff pickles for worker
-    pools and its inflated-claim table can be cached by it.  The inflation
-    transform of a ridge payoff is a 1-D problem in r = <a, x> + b (see
-    :func:`sup_convolve`), which is what lets it be tabulated in any d.
+    Every slope lies in [-1, 1].  The profile is data, not a callable, so the
+    payoff pickles for worker pools; its pieces are kept in ascending slope
+    order (then intercept), which fixes the tie rule at a kink.  The
+    inflation transform of a ridge payoff is exact in any d (see
+    :func:`sup_convolve`).
     """
 
     a: np.ndarray
     b: float
-    h: Callable[[np.ndarray], np.ndarray]
+    slopes: np.ndarray
+    intercepts: np.ndarray
     name: str = "ridge"
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
         object.__setattr__(self, "b", float(self.b))
+        slopes = np.atleast_1d(np.asarray(self.slopes, dtype=float))
+        intercepts = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
+        if slopes.ndim != 1 or slopes.shape != intercepts.shape or slopes.size == 0:
+            raise DimensionMismatchError("slopes and intercepts must be 1-D, non-empty, one length")
+        pieces = np.concatenate([self.a, [self.b], slopes, intercepts])
+        if not np.all(np.isfinite(pieces)):
+            raise InvalidParameterError("ridge payoff data must be finite")
+        if np.abs(slopes).max() > 1.0:
+            raise InvalidParameterError("ridge profile slopes must lie in [-1, 1]")
+        order = np.lexsort((intercepts, slopes))
+        for key, arr in (("slopes", slopes[order]), ("intercepts", intercepts[order])):
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
 
     @property
     def lipschitz_constant(self) -> float:
-        return float(np.linalg.norm(self.a))
+        return float(np.linalg.norm(self.a)) * float(np.abs(self.slopes).max())
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.h(np.asarray(x, dtype=float) @ self.a + self.b), dtype=float)
+        r = np.asarray(x, dtype=float) @ self.a + self.b
+        return np.max(r[..., None] * self.slopes + self.intercepts, axis=-1)
 
 
 Payoff = Union[BasketCall, RidgePayoff, GenericLipschitz]
@@ -217,8 +231,9 @@ def _ridge_terms(payoff: RidgePayoff, sigma: SpdMatrix) -> tuple[np.ndarray, flo
     return a_sig, float(a_sig @ payoff.a)
 
 
-def _on_column(h, r: np.ndarray) -> np.ndarray:
-    return h(r[..., 0])
+def _ridge_levels(payoff: RidgePayoff, a_risk: float, quad: float) -> np.ndarray:
+    """Intercepts beta_i + c s_i^2/2 of the inflated pieces, c = sqrt(a_risk) <a sigma, a>."""
+    return payoff.intercepts + 0.5 * math.sqrt(a_risk) * quad * payoff.slopes**2
 
 
 def _sup_convolve_batch(
@@ -232,10 +247,9 @@ def _sup_convolve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (n,) and argmaxes (n, d) of the transform at (n, d) points.
 
-    A ridge payoff is searched as its 1-D problem in r (:func:`sup_convolve`);
-    a generic row block holds (rows, grid_points^d, d) candidates, so it
-    shrinks as the grid grows (49 rows at d = 3); a grid over NODE_BUDGET
-    raises.
+    A ridge payoff is exact (:func:`sup_convolve`); a generic row block
+    holds (rows, grid_points^d, d) candidates, so it shrinks as the grid
+    grows (49 rows at d = 3); a grid over NODE_BUDGET raises.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
@@ -246,16 +260,15 @@ def _sup_convolve_batch(
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
     if isinstance(payoff, RidgePayoff):
+        # sup and max commute: piece i inflates to s_i r + beta_i + c s_i^2/2,
+        # attained at y = sqrt(A) s_i a sigma; argmax takes the first, so the
+        # smaller slope, at a kink
         a_sig, quad = _ridge_terms(payoff, sigma)
-        scale = math.sqrt(a_risk) * quad
-        if scale == 0.0:
-            return payoff.evaluate(x), np.zeros_like(x)
-        # sup_z h(r + z) - z^2/(2c): the search with A = 1, sigma = [[c]], slope 1
-        vals, zs = _grid_search(
-            partial(_on_column, payoff.h), 2.0 * scale, 0.5, np.array([[1.0 / scale]]),
-            (x @ payoff.a + payoff.b)[:, None], rounds, grid_points, row_block,
-        )
-        return vals, zs * (a_sig / quad)[None, :]
+        slopes, levels = payoff.slopes, _ridge_levels(payoff, a_risk, quad)
+        pieces = (x @ payoff.a + payoff.b)[:, None] * slopes + levels
+        best = np.argmax(pieces, axis=1)
+        ys = (math.sqrt(a_risk) * slopes[best])[:, None] * a_sig[None, :]
+        return pieces[np.arange(n), best], ys
 
     radius0 = _search_radius(payoff, a_risk, sigma)
     if radius0 == 0.0:
@@ -306,13 +319,13 @@ def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
 
     This is the effective claim in the small-impact scaling limit.  Basket
     calls use the closed form (<a,x> + :func:`inflated_strike`)^+.  A ridge
-    payoff h(<a,x> + b) is the scalar sup over z of h(r + z) - z^2/(2c) at
-    r = <a,x> + b, c = sqrt(a_risk) <a sigma, a>, attained at
-    y = z* a sigma / <a sigma, a>: one 41-point grid search in any d.  Other
-    generic payoffs are maximised by a bounded-ball grid search in R^d with
-    local refinement (the maximiser provably lies within
-    2 sqrt(a_risk) lam_max(sigma) L of the origin), refused from d = 4 by the
-    node budget.  Always >= f(x).
+    payoff h(<a,x> + b), h(y) = max_i(s_i y + beta_i), is exact in any d:
+    g(x) = max_i(s_i r + beta_i + c s_i^2/2) at r = <a,x> + b,
+    c = sqrt(a_risk) <a sigma, a>, because the sup of a max is the max of the
+    per-piece sups.  Other generic payoffs are maximised by a bounded-ball
+    grid search in R^d with local refinement (the maximiser provably lies
+    within 2 sqrt(a_risk) lam_max(sigma) L of the origin), refused from d = 4
+    by the node budget.  Always >= f(x).
     ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
@@ -333,10 +346,11 @@ def sup_convolve_argmax(
 
     For basket calls returns sqrt(a_risk) * a sigma on the inflated-positive
     branch and 0 otherwise (ties at the kink resolve to 0, which keeps the
-    selector bounded and measurable).  Ridge payoffs refine their 1-D search
-    until its resolution is below ``eps`` and return z* a sigma / <a sigma, a>;
-    other generic payoffs refine the grid search in R^d the same way.  ``x``
-    is one point (d,) or a batch (m, d); the result is (d,) or (m, d).
+    selector bounded and measurable).  Ridge payoffs return the exact
+    sqrt(a_risk) s_i a sigma of their winning piece, the smaller slope at a
+    kink; other generic payoffs refine the grid search in R^d until its
+    resolution is below ``eps``.  ``x`` is one point (d,) or a batch (m, d);
+    the result is (d,) or (m, d).
     """
     if a_risk <= 0.0 or eps <= 0.0:
         raise InvalidParameterError("a_risk and eps must be positive")
@@ -347,20 +361,13 @@ def sup_convolve_argmax(
 
 
 def _rounds_for_eps(payoff: Payoff, a_risk: float, sigma: SpdMatrix, eps: float) -> int:
-    # basket calls never reach the search, so their rounds are never read
-    if isinstance(payoff, RidgePayoff):
-        # the 1-D problem: slope 1, radius 2c, penalty z^2/(2c)
-        scale = math.sqrt(a_risk) * _ridge_terms(payoff, sigma)[1]
-        lipschitz, radius, curvature = 1.0, 2.0 * scale, scale
-    else:
-        lipschitz = payoff.lipschitz_constant
-        radius = _search_radius(payoff, a_risk, sigma)
-        curvature = math.sqrt(a_risk) * sigma.min_eig
+    # basket calls and ridge payoffs never reach the search, so their rounds are never read
+    radius = _search_radius(payoff, a_risk, sigma)
     if radius == 0.0:
         return SEARCH_ROUNDS
     # objective is Lipschitz in y with constant at most slope_bound near the
     # ball; one grid spacing of resolution error per round
-    slope_bound = lipschitz + radius / curvature
+    slope_bound = payoff.lipschitz_constant + radius / (math.sqrt(a_risk) * sigma.min_eig)
     rounds = SEARCH_ROUNDS
     spacing = 2.0 * radius / (SEARCH_GRID_POINTS - 1)
     while slope_bound * spacing * SEARCH_SHRINK**rounds > eps and rounds < 12:

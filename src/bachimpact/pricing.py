@@ -6,9 +6,10 @@ The claim price is
     u(t, x) = E[ g(x + W_{T-t} sigma) ],
 
 with g the inflated payoff from :mod:`bachimpact.market`.  Basket calls
-dispatch to the normal-model closed form; ridge payoffs integrate a cached
-1-D table of g along the ridge; everything else integrates g over a
-deterministic rule for N(0, I_d) abscissae.  For s the basket direction's
+dispatch to the normal-model closed form; a ridge payoff, whose g is
+piecewise linear in r = <a, x> + b, to one Bachelier call per knot of g
+in any d; everything else integrates g over a deterministic rule for
+N(0, I_d) abscissae.  For s the basket direction's
 vol, m the moneyness of the inflated strike, the closed form is the usual
 arithmetic-model pair
 
@@ -33,7 +34,7 @@ from .errors import (
     InvalidTimeError,
     NonFiniteResultError,
 )
-from .linalg import make_spd, quad_form, row_vec_mul
+from .linalg import quad_form, row_vec_mul
 from .market import (
     NODE_BUDGET,
     BachelierModel,
@@ -41,6 +42,7 @@ from .market import (
     Payoff,
     RidgePayoff,
     _as_points,
+    _ridge_levels,
     _ridge_terms,
     _search_candidates,
     _search_radius,
@@ -53,17 +55,8 @@ from .market import (
 # fallback Monte Carlo settings for d >= 4 (antithetic, fixed substream)
 MC_FALLBACK_SAMPLES = 500_000
 MC_FALLBACK_KEY = 0x9E3779B9
-# a ridge payoff's inflated claim G(r) is tabulated at spacing 5e-4 over
-# |r| <= TABLE_HALF_WIDTH (abscissae and values, 2.6 MB a table; at most
-# TABLE_CACHE tables, 15.4 MB, under a 16 MB cap); nodes outside take the
-# exact 1-D search, never an extrapolation
-TABLE_HALF_WIDTH = 40.0
-TABLE_NODES = 160_001
-TABLE_CACHE = 6
-# doubles per (spots, rule nodes) block of a ridge price
-RIDGE_BLOCK = 1 << 18
-# a ridge delta whose rounding bound exceeds this share of its unit slope range is refused
-RIDGE_DELTA_ROUNDING = 1e-3
+# a pde_residual whose finite-difference rounding bound exceeds this is refused
+PDE_ROUNDING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,13 +131,24 @@ def build_normal_panel(
 
 
 def coarsen_rule(rule: QuadratureRule) -> QuadratureRule:
-    """Companion rule at half resolution, for self-estimated tolerances."""
-    kind = rule.tag[0]
-    if kind == "hermite":
-        _, m, d = rule.tag
-        return build_gauss_hermite(max(2, m // 2), d)
-    _, n_panels, order, radius, d = rule.tag
-    return build_normal_panel(max(1, n_panels // 2), order, d, radius)
+    """Companion rule at half resolution, for self-estimated tolerances.
+
+    Built once per ``rule.tag`` and cached, with read-only arrays.
+    """
+    return _coarse_rule(rule.tag)
+
+
+@lru_cache(maxsize=8)
+def _coarse_rule(tag: tuple) -> QuadratureRule:
+    if tag[0] == "hermite":
+        _, m, d = tag
+        rule = build_gauss_hermite(max(2, m // 2), d)
+    else:
+        _, n_panels, order, radius, d = tag
+        rule = build_normal_panel(max(1, n_panels // 2), order, d, radius)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 @lru_cache(maxsize=8)
@@ -181,14 +185,11 @@ def _fallback_sample(d: int) -> np.ndarray:
 def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     """Price at (m, d) spots by integrating g over ``rule``, for any payoff.
 
-    A ridge payoff integrates its cached 1-D table along the ridge
-    (:func:`_ridge_price_delta`), in any d.  Otherwise ``rule`` None takes the
-    per-dimension default, and from d = 4 an antithetic Monte Carlo sample on
-    a fixed substream, and g is the grid search at every node; a generic
-    payoff whose search is over budget is refused before anything is drawn.
+    ``rule`` None takes the per-dimension default, and from d = 4 an
+    antithetic Monte Carlo sample on a fixed substream; a generic payoff's g
+    is the grid search at every node, and one whose search is over budget is
+    refused before anything is drawn.
     """
-    if isinstance(payoff, RidgePayoff):
-        return _ridge_price_delta(a_risk, model, payoff, t, x, rule)[0]
     if not isinstance(payoff, BasketCall) and _search_radius(payoff, a_risk, model.sigma) > 0.0:
         _search_candidates(model.d)
     if rule is None:
@@ -206,83 +207,55 @@ def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=TABLE_CACHE)
-def _ridge_table(h, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and values of G(r) = sup_z h(r + z) - z^2/(2 scale) over the table span.
+def _ridge_knots(a_risk, model, payoff):
+    """The inflated ridge claim G(r) = max_i(s_i r + beta'_i) as knots.
 
-    Filled at the first price that needs it, by the 1-D search of
-    :func:`_line_claim`, and shared by every call with the same profile and scale.
-    """
-    grid = np.linspace(-TABLE_HALF_WIDTH, TABLE_HALF_WIDTH, TABLE_NODES)
-    return grid, _line_claim(h, scale, grid)
-
-
-def _line_claim(h, scale: float, r: np.ndarray) -> np.ndarray:
-    """G at (n,) points r by the exact search: the ridge h(r) under A = 1, sigma = [[scale]]."""
-    line = RidgePayoff(a=[1.0], b=0.0, h=h)
-    return _sup_convolve_batch(line, 1.0, make_spd([[scale]]), r[:, None])[0]
-
-
-def _ridge_claim(h, scale: float, r: np.ndarray) -> np.ndarray:
-    """G at an array of r: the table interpolated inside its span, the exact search outside."""
-    if scale == 0.0:
-        return h(r)
-    grid, table = _ridge_table(h, scale)
-    vals = np.interp(r, grid, table)
-    outside = np.abs(r) > TABLE_HALF_WIDTH
-    if outside.any():
-        vals[outside] = _line_claim(h, scale, r[outside])
-    return vals
-
-
-def _ridge_price_delta(a_risk, model, payoff, t, x, rule=None, with_delta=False):
-    """Prices (m,) and, with ``with_delta``, deltas (m, d) of a ridge payoff at (m, d) spots.
-
-    With r = <a, x> + b the price integrates G(r + o) over the increment
-    o = <a, W_{T-t} sigma> ~ N(0, s^2), s = sqrt(T - t) |a sigma|: on the 1-D
-    default rule scaled by s when ``rule`` is None, else on ``rule`` projected
-    as o_k = sqrt(T - t) z_k sigma a^T.  The delta is the likelihood ratio
-    a E[G(r + o) o]/s^2 on the same evaluations:
-
-        u = sum_k w_k G(r + o_k),   delta = a sum_k w_k (G(r + o_k) - G(r)) z_k / s,
-
-    with z_k = o_k / s.  A delta whose rounding bound is over
-    RIDGE_DELTA_ROUNDING of its unit slope range raises NonFiniteResultError.
+    Returns (s_1, beta'_1, knots, jumps, |a sigma|), with
+    G(r) = s_1 r + beta'_1 + sum_j jumps_j (r - knots_j)^+: the upper
+    envelope of the pieces (ascending slopes) keeps the pieces that are
+    somewhere on top; knots ascend and every jump is positive.
     """
     a_sig, quad = _ridge_terms(payoff, model.sigma)
-    scale = math.sqrt(a_risk) * quad
-    spread = math.hypot(*a_sig)  # no overflow in the squares
-    if rule is None:
-        rule = default_quadrature(1)
-        proj = rule.nodes[:, 0] * spread
-    else:
-        proj = rule.nodes @ a_sig
-    weights, offsets = rule.weights, math.sqrt(model.T - t) * proj
-    if with_delta:
-        s = math.sqrt(model.T - t) * spread
-        w_unit = weights * (offsets / s)  # w_k z_k, z_k = o_k / s of unit variance
-        # G is 1-Lipschitz, so |G(r + o_k)| <= |G(r)| + |o_k| bounds each difference's rounding
-        rounding = 2.0 * np.finfo(float).eps * np.sum(np.abs(w_unit)) / s
-        reach = np.abs(offsets).max()
-    r = x @ payoff.a + payoff.b
-    prices, slopes = np.empty(len(r)), np.empty(len(r))
-    rows = max(1, RIDGE_BLOCK // len(offsets))
-    for lo in range(0, len(r), rows):
-        rb = r[lo:lo + rows]
-        g = _ridge_claim(payoff.h, scale, rb[:, None] + offsets)
-        prices[lo:lo + rows] = np.sum(weights * g, axis=1)  # fixed order, unlike a BLAS dot
-        if with_delta:
-            g0 = _ridge_claim(payoff.h, scale, rb)
-            lost = rounding * (np.abs(g0) + reach)
-            if np.any(lost > RIDGE_DELTA_ROUNDING):
-                raise NonFiniteResultError(
-                    f"ridge delta rounding bound {lost.max():.3g} of its unit slope: the"
-                    f" inflated claim ({np.abs(g0).max():.3g}) is too large against its"
-                    " spread for double precision"
-                )
-            g -= g0[:, None]
-            slopes[lo:lo + rows] = np.sum(w_unit * g, axis=1) / s
-    return prices, (slopes[:, None] * payoff.a[None, :] if with_delta else None)
+    hull: list[tuple[float, float]] = []
+    for piece in zip(payoff.slopes.tolist(), _ridge_levels(payoff, a_risk, quad).tolist()):
+        if hull and hull[-1][0] == piece[0]:
+            hull.pop()  # equal slopes ascend in intercept: the later piece is on top
+        while len(hull) > 1 and _meet(hull[-2], hull[-1]) >= _meet(hull[-1], piece):
+            hull.pop()
+        hull.append(piece)
+    knots = np.array([_meet(p, q) for p, q in zip(hull, hull[1:])])
+    jumps = np.array([q[0] - p[0] for p, q in zip(hull, hull[1:])])
+    return hull[0][0], hull[0][1], knots, jumps, math.hypot(*a_sig)
+
+
+def _meet(p, q) -> float:
+    """Where the lines r -> p[0] r + p[1] and q[0] r + q[1] cross."""
+    return (p[1] - q[1]) / (q[0] - p[0])
+
+
+def _ridge_r(payoff, x) -> np.ndarray:
+    # in d=1 the dot is one multiply; elementwise skips a one-element BLAS call per row
+    return (x[:, 0] * payoff.a[0] if payoff.a.size == 1 else x @ payoff.a) + payoff.b
+
+
+def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
+    """Exact price of a ridge payoff at (m, d) spots, t < T.
+
+    With r = <a, x> + b, the claim integrates G(r + sZ), s = sqrt(T - t) |a sigma|.
+    Summed by parts, the per-cell Gaussian integrals of G are one Bachelier
+    call per knot:
+
+        u = s_1 r + beta'_1 + sum_j jumps_j s (m_j Phi(m_j) + phi(m_j)),
+        m_j = (r - knots_j) / s.
+    """
+    first, level, knots, jumps, spread = _ridge_knots(a_risk, model, payoff)
+    s = math.sqrt(model.T - t) * spread
+    if s == 0.0:  # a = 0: a constant claim
+        return _sup_convolve_batch(payoff, a_risk, model.sigma, x)[0]
+    r = _ridge_r(payoff, x)
+    m = (r[:, None] - knots) / s
+    calls = s * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
+    return first * r + level + np.sum(jumps * calls, axis=1)
 
 
 def price_u(
@@ -297,10 +270,9 @@ def price_u(
 
     Integrates the inflated payoff over the Gaussian increment to maturity;
     at t == T this reduces to the inflated payoff itself, exactly.  Basket
-    calls use the closed form, other payoffs :func:`_quadrature_price`: a
-    ridge payoff its cached 1-D table in any d (the 1-D default rule when
-    ``rule`` is None, else ``rule`` projected onto the ridge), and only a
-    non-ridge generic payoff the grid search at every node.
+    calls and ridge payoffs use their closed forms in any d and ignore
+    ``rule`` (:func:`_ridge_price` for a ridge payoff); only a generic
+    payoff integrates the grid search over ``rule`` (:func:`_quadrature_price`).
     ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
@@ -312,6 +284,8 @@ def price_u(
         vals = sup_convolve(payoff, a_risk, model.sigma, points)
     elif isinstance(payoff, BasketCall):
         vals = _basket_price(a_risk, model, payoff, t, points)
+    elif isinstance(payoff, RidgePayoff):
+        vals = _ridge_price(a_risk, model, payoff, t, points)
     else:
         vals = _quadrature_price(a_risk, model, payoff, t, points, rule)
     return vals if batch else float(vals[0])
@@ -347,8 +321,8 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
     """Delta evaluator (t, (m, d) spots) -> (m, d), built once per payoff.
 
     Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
-    the likelihood-ratio delta of :func:`_ridge_price_delta` for ridge
-    payoffs, otherwise :func:`_fd_delta` row by row.
+    for ridge payoffs the derivative of :func:`_ridge_price`,
+    a (s_1 + sum_j jumps_j Phi(m_j)), otherwise :func:`_fd_delta` row by row.
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
@@ -368,8 +342,11 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
 
         return basket_delta
     if isinstance(payoff, RidgePayoff):
+        first, _, knots, jumps, spread = _ridge_knots(a_risk, model, payoff)
+
         def ridge_delta(t, x):
-            return _ridge_price_delta(a_risk, model, payoff, t, x, rule, with_delta=True)[1]
+            m = (_ridge_r(payoff, x)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
+            return (first + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
 
         return ridge_delta
 
@@ -391,10 +368,9 @@ def delta_u(
     """Spatial gradient of the claim price.
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
-    for basket calls, for ridge payoffs the likelihood-ratio delta from the
-    same table evaluations as their price (:func:`_ridge_price_delta`;
-    ``fd_step`` is unused), and only for other generic payoffs central
-    finite differences of :func:`price_u` per coordinate (see
+    for basket calls, for ridge payoffs the exact a (s_1 + sum_j jumps_j
+    Phi(m_j)) in any d (``rule`` and ``fd_step`` are unused for both), and
+    only for other generic payoffs central finite differences of :func:`price_u` per coordinate (see
     :func:`_fd_delta`).  ``x`` is one point (d,), giving (d,), or a batch
     (m, d), giving (m, d).
     """
@@ -419,14 +395,20 @@ def pde_residual(
 
     The claim price solves the backward heat equation in the volatility
     metric, so the residual should vanish to FD accuracy at interior points.
+    A residual whose second differences can lose more than PDE_ROUNDING to
+    rounding, 4 eps max|u| / hx^2, says nothing and raises
+    NonFiniteResultError.
     """
     if t > model.T - 10.0 * fd_step_t:
         raise InvalidTimeError("too close to maturity for the time difference")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     hx = fd_step_x if fd_step_x is not None else 1e-3 * (1.0 + float(np.linalg.norm(x)))
+    seen = []
 
     def u(tt, xx):
-        return price_u(a_risk, model, payoff, tt, xx, rule)
+        val = price_u(a_risk, model, payoff, tt, xx, rule)
+        seen.append(abs(val))
+        return val
 
     if t - fd_step_t >= 0.0:
         du_dt = (u(t + fd_step_t, x) - u(t - fd_step_t, x)) / (2.0 * fd_step_t)
@@ -453,6 +435,13 @@ def pde_residual(
             ) / (4.0 * hx * hx)
             hess[i, j] = cross
             hess[j, i] = cross
+    largest = float(np.max(seen))  # nan if any price was
+    rounding = 4.0 * np.finfo(float).eps * largest / (hx * hx)
+    if not rounding <= PDE_ROUNDING:
+        raise NonFiniteResultError(
+            f"pde residual rounding bound {rounding:.3g} exceeds {PDE_ROUNDING:g}: the claim"
+            f" price ({largest:.3g}) is too large against its step {hx:.3g} for double precision"
+        )
     sigma_sq = model.sigma.entries @ model.sigma.entries
     return float(du_dt + 0.5 * np.trace(sigma_sq @ hess))
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -256,7 +259,7 @@ class TestNonFiniteInputs:
         assert "Traceback" not in err
 
     def test_generic_four_dim_straddle_prices(self, tmp_path, reference):
-        # a ridge payoff needs no 41^d search: d = 4 prices from the 1-D table
+        # a ridge payoff needs no 41^d search: d = 4 prices in closed form
         cfg = tmp_path / "generic4.cfg"
         cfg.write_text(
             "model.d = 4\nmodel.s0 = 1 1 1 1\nmodel.sigma = "
@@ -331,6 +334,36 @@ class TestHugeRidgeInputs:
         assert "Traceback" not in err
         assert not out.exists()
         assert peak < 64 * 2**20
+
+
+class TestPdeResidualRounding:
+    @pytest.mark.parametrize(
+        "kind", ["payoff.kind = basket_call", "payoff.kind = generic\npayoff.name = basket_call"],
+        ids=["closed-form", "ridge"],
+    )
+    def test_huge_basket_call_refused(self, kind, tmp_path, capsys):
+        # at a = 1e150 the residual's second differences have no digit left
+        # (it read 1.86e287 with exit 0): exit 2, no rows
+        cfg = tmp_path / "huge.cfg"
+        text = MINIMAL.replace("payoff.kind = basket_call", kind)
+        cfg.write_text(text.replace("payoff.a = 1.0", "payoff.a = 1e150"))
+        out = tmp_path / "out.csv"
+        assert run_cli(["price", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "rounding bound" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the check command's kernel item integrates adaptively
+    code = "import sys, bachimpact.cli; print('scipy.integrate' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 OUT_OF_RANGE_CASES = [
