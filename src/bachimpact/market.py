@@ -225,15 +225,32 @@ def _search_candidates(d: int, grid_points: int = SEARCH_GRID_POINTS) -> int:
     return candidates
 
 
-def _ridge_terms(payoff: RidgePayoff, sigma: SpdMatrix) -> tuple[np.ndarray, float]:
-    """(a sigma, <a sigma, a>) of a ridge payoff."""
+def _ridge_hull(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix):
+    """The pieces of a ridge payoff's inflated claim that count, and a sigma.
+
+    Sup and max commute, so piece i inflates to s_i r + beta_i + c s_i^2/2,
+    c = sqrt(a_risk) <a sigma, a>.  Returns the slopes and intercepts of the
+    inflated pieces that are somewhere on top (the upper envelope, walked in
+    ascending slope), the knots where consecutive ones cross (ascending) and
+    a sigma.
+    """
     a_sig = payoff.a @ sigma.entries
-    return a_sig, float(a_sig @ payoff.a)
+    half_c = 0.5 * math.sqrt(a_risk) * float(a_sig @ payoff.a)
+    hull: list[tuple[float, float]] = []
+    for slope, beta in zip(payoff.slopes.tolist(), payoff.intercepts.tolist()):
+        piece = (slope, beta + half_c * slope * slope)
+        if hull and hull[-1][0] == slope:
+            hull.pop()  # equal slopes ascend in intercept: the later piece is on top
+        while len(hull) > 1 and _meet(hull[-2], hull[-1]) >= _meet(hull[-1], piece):
+            hull.pop()
+        hull.append(piece)
+    slopes, levels = np.array(hull).T
+    return slopes, levels, np.array([_meet(p, q) for p, q in zip(hull, hull[1:])]), a_sig
 
 
-def _ridge_levels(payoff: RidgePayoff, a_risk: float, quad: float) -> np.ndarray:
-    """Intercepts beta_i + c s_i^2/2 of the inflated pieces, c = sqrt(a_risk) <a sigma, a>."""
-    return payoff.intercepts + 0.5 * math.sqrt(a_risk) * quad * payoff.slopes**2
+def _meet(p, q) -> float:
+    """Where the lines r -> p[0] r + p[1] and q[0] r + q[1] cross."""
+    return (p[1] - q[1]) / (q[0] - p[0])
 
 
 def _sup_convolve_batch(
@@ -260,11 +277,9 @@ def _sup_convolve_batch(
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
     if isinstance(payoff, RidgePayoff):
-        # sup and max commute: piece i inflates to s_i r + beta_i + c s_i^2/2,
-        # attained at y = sqrt(A) s_i a sigma; argmax takes the first, so the
-        # smaller slope, at a kink
-        a_sig, quad = _ridge_terms(payoff, sigma)
-        slopes, levels = payoff.slopes, _ridge_levels(payoff, a_risk, quad)
+        # piece i attains its sup at y = sqrt(A) s_i a sigma; argmax takes the
+        # first, so the smaller slope, at a kink
+        slopes, levels, _, a_sig = _ridge_hull(payoff, a_risk, sigma)
         pieces = (x @ payoff.a + payoff.b)[:, None] * slopes + levels
         best = np.argmax(pieces, axis=1)
         ys = (math.sqrt(a_risk) * slopes[best])[:, None] * a_sig[None, :]

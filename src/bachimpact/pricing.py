@@ -7,9 +7,9 @@ The claim price is
 
 with g the inflated payoff from :mod:`bachimpact.market`.  Basket calls
 dispatch to the normal-model closed form; a ridge payoff, whose g is
-piecewise linear in r = <a, x> + b, to one Bachelier call per knot of g
-in any d; everything else integrates g over a deterministic rule for
-N(0, I_d) abscissae.  For s the basket direction's
+piecewise linear in r = <a, x> + b, to g plus one out-of-the-money
+Bachelier option per knot of g, in any d; everything else integrates g over
+a deterministic rule for N(0, I_d) abscissae.  For s the basket direction's
 vol, m the moneyness of the inflated strike, the closed form is the usual
 arithmetic-model pair
 
@@ -42,8 +42,7 @@ from .market import (
     Payoff,
     RidgePayoff,
     _as_points,
-    _ridge_levels,
-    _ridge_terms,
+    _ridge_hull,
     _search_candidates,
     _search_radius,
     _sup_convolve_batch,
@@ -207,32 +206,6 @@ def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
     return out
 
 
-def _ridge_knots(a_risk, model, payoff):
-    """The inflated ridge claim G(r) = max_i(s_i r + beta'_i) as knots.
-
-    Returns (s_1, beta'_1, knots, jumps, |a sigma|), with
-    G(r) = s_1 r + beta'_1 + sum_j jumps_j (r - knots_j)^+: the upper
-    envelope of the pieces (ascending slopes) keeps the pieces that are
-    somewhere on top; knots ascend and every jump is positive.
-    """
-    a_sig, quad = _ridge_terms(payoff, model.sigma)
-    hull: list[tuple[float, float]] = []
-    for piece in zip(payoff.slopes.tolist(), _ridge_levels(payoff, a_risk, quad).tolist()):
-        if hull and hull[-1][0] == piece[0]:
-            hull.pop()  # equal slopes ascend in intercept: the later piece is on top
-        while len(hull) > 1 and _meet(hull[-2], hull[-1]) >= _meet(hull[-1], piece):
-            hull.pop()
-        hull.append(piece)
-    knots = np.array([_meet(p, q) for p, q in zip(hull, hull[1:])])
-    jumps = np.array([q[0] - p[0] for p, q in zip(hull, hull[1:])])
-    return hull[0][0], hull[0][1], knots, jumps, math.hypot(*a_sig)
-
-
-def _meet(p, q) -> float:
-    """Where the lines r -> p[0] r + p[1] and q[0] r + q[1] cross."""
-    return (p[1] - q[1]) / (q[0] - p[0])
-
-
 def _ridge_r(payoff, x) -> np.ndarray:
     # in d=1 the dot is one multiply; elementwise skips a one-element BLAS call per row
     return (x[:, 0] * payoff.a[0] if payoff.a.size == 1 else x @ payoff.a) + payoff.b
@@ -241,21 +214,25 @@ def _ridge_r(payoff, x) -> np.ndarray:
 def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
     """Exact price of a ridge payoff at (m, d) spots, t < T.
 
-    With r = <a, x> + b, the claim integrates G(r + sZ), s = sqrt(T - t) |a sigma|.
-    Summed by parts, the per-cell Gaussian integrals of G are one Bachelier
-    call per knot:
+    With r = <a, x> + b the claim integrates G(r + sZ), s = sqrt(T - t) |a sigma|.
+    Summed by parts, the per-cell Gaussian integrals of G are G(r) plus, at
+    each knot, the time value of the out-of-the-money Bachelier option struck
+    there:
 
-        u = s_1 r + beta'_1 + sum_j jumps_j s (m_j Phi(m_j) + phi(m_j)),
-        m_j = (r - knots_j) / s.
+        u = G(r) + s sum_j (s_{j+1} - s_j) C(-|r - knots_j| / s),
+        C(z) = z Phi(z) + phi(z),
+
+    so every term is positive and nothing cancels in either tail.
     """
-    first, level, knots, jumps, spread = _ridge_knots(a_risk, model, payoff)
-    s = math.sqrt(model.T - t) * spread
-    if s == 0.0:  # a = 0: a constant claim
-        return _sup_convolve_batch(payoff, a_risk, model.sigma, x)[0]
+    slopes, levels, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
     r = _ridge_r(payoff, x)
-    m = (r[:, None] - knots) / s
-    calls = s * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
-    return first * r + level + np.sum(jumps * calls, axis=1)
+    g = np.max(r[:, None] * slopes + levels, axis=1)
+    s = math.sqrt(model.T - t) * math.hypot(*a_sig)  # no overflow in the squares
+    if s == 0.0:  # a = 0: a constant claim
+        return g
+    z = -np.abs(r[:, None] - knots) / s
+    otm = s * (z * ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    return g + np.sum(np.diff(slopes) * otm, axis=1)
 
 
 def price_u(
@@ -322,7 +299,7 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
 
     Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
     for ridge payoffs the derivative of :func:`_ridge_price`,
-    a (s_1 + sum_j jumps_j Phi(m_j)), otherwise :func:`_fd_delta` row by row.
+    a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)), otherwise :func:`_fd_delta` row by row.
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
@@ -342,11 +319,12 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
 
         return basket_delta
     if isinstance(payoff, RidgePayoff):
-        first, _, knots, jumps, spread = _ridge_knots(a_risk, model, payoff)
+        slopes, _, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
+        jumps, spread = np.diff(slopes), math.hypot(*a_sig)
 
         def ridge_delta(t, x):
             m = (_ridge_r(payoff, x)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
-            return (first + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
+            return (slopes[0] + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
 
         return ridge_delta
 
@@ -368,8 +346,8 @@ def delta_u(
     """Spatial gradient of the claim price.
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
-    for basket calls, for ridge payoffs the exact a (s_1 + sum_j jumps_j
-    Phi(m_j)) in any d (``rule`` and ``fd_step`` are unused for both), and
+    for basket calls, for ridge payoffs the exact derivative of their price
+    in any d (``rule`` and ``fd_step`` are unused for both), and
     only for other generic payoffs central finite differences of :func:`price_u` per coordinate (see
     :func:`_fd_delta`).  ``x`` is one point (d,), giving (d,), or a batch
     (m, d), giving (m, d).

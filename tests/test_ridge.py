@@ -246,6 +246,14 @@ class TestRidgePricing:
                 want_delta[0], rel=1e-12, abs=1e-15
             )
 
+    def test_far_tails_keep_relative_accuracy(self, reference, atm_model):
+        # far from every knot the price is G(r) plus tiny option values, so
+        # nothing cancels: a put 4 to 12 spreads out of the money
+        put = ridge("put", [1.0], -8.0)
+        for x in (12.0, 14.0, 20.0):
+            want = reference.basket_call(1.0, [-1.0], 8.0, [[1.0]], 1.0, 0.0, [x])[0]
+            assert price_u(1.0, atm_model, put, 0.0, [x]) == pytest.approx(want, rel=1e-12)
+
     def test_pde_residual_measures_the_equation(self, atm_model):
         # the exact price leaves only the finite differences' own error
         # (a kinked quadrature rule read -0.00496 here)
