@@ -299,7 +299,8 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
 
     Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
     for ridge payoffs the derivative of :func:`_ridge_price`,
-    a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)), otherwise :func:`_fd_delta` row by row.
+    a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)), otherwise
+    :func:`_fd_delta` row by row.
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
@@ -347,10 +348,10 @@ def delta_u(
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
     for basket calls, for ridge payoffs the exact derivative of their price
-    in any d (``rule`` and ``fd_step`` are unused for both), and
-    only for other generic payoffs central finite differences of :func:`price_u` per coordinate (see
-    :func:`_fd_delta`).  ``x`` is one point (d,), giving (d,), or a batch
-    (m, d), giving (m, d).
+    in any d (``rule`` and ``fd_step`` are unused for both), and only for
+    other generic payoffs central finite differences of :func:`price_u` per
+    coordinate (see :func:`_fd_delta`).  ``x`` is one point (d,), giving
+    (d,), or a batch (m, d), giving (m, d).
     """
     if t >= model.T:
         raise InvalidTimeError("gradient undefined at maturity (payoff kinks)")
