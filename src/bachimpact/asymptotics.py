@@ -30,7 +30,7 @@ from .market import (
     antithetic_normals,
     sup_convolve_argmax,
 )
-from .hedging import _as_impacts, run_hedge_batch
+from .hedging import HedgeBatch, _as_impacts, run_hedge_batch
 from .pricing import QuadratureRule, coarsen_rule, default_quadrature
 
 LAM_DESK_FLOOR = 0.02
@@ -127,17 +127,25 @@ def certainty_equivalent_mc(
     batches = run_hedge_batch(
         a_risk, lams, model, payoff, phi0, grid, n_paths, seed, workers=workers, rule=rule
     )
-    estimates = []
-    for impact, batch in zip(lams, batches):
-        log_mean, mean_w, sd_w = _log_mean_exp(batch.utility_exponent)
-        std_error = 0.0
-        if sd_w > 0.0:
-            std_error = (impact / a_risk) * sd_w / (mean_w * math.sqrt(n_paths))
-        estimates.append(CeEstimate(
-            value=(impact / a_risk) * log_mean, std_error=std_error, n_paths=n_paths,
-            lam=impact, a_risk=a_risk,
-        ))
+    estimates = [_ce_estimate(a_risk, impact, batch) for impact, batch in zip(lams, batches)]
     return estimates if many else estimates[0]
+
+
+def _ce_estimate(a_risk: float, lam: float, batch: HedgeBatch) -> CeEstimate:
+    """Certainty equivalent at one impact from that impact's hedged ``batch``.
+
+    The per-impact reducer of :func:`certainty_equivalent_mc`, for a caller
+    that also needs the batch for something else.
+    """
+    n_paths = len(batch.utility_exponent)
+    log_mean, mean_w, sd_w = _log_mean_exp(batch.utility_exponent)
+    std_error = 0.0
+    if sd_w > 0.0:
+        std_error = (lam / a_risk) * sd_w / (mean_w * math.sqrt(n_paths))
+    return CeEstimate(
+        value=(lam / a_risk) * log_mean, std_error=std_error, n_paths=n_paths,
+        lam=lam, a_risk=a_risk,
+    )
 
 
 def dual_lower_bound(

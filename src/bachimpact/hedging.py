@@ -17,6 +17,10 @@ which is unconditionally stable and exact whenever the target is constant.
 One loop, :func:`_hedge_chunk`, produces every hedge: :func:`run_hedge_batch`
 keeps terminal summaries, :func:`hedge_paths` also records every knot so the
 independent references below (Duhamel, wealth) can check it.
+:func:`supermartingale_check_mc` is a hedge followed by the reducer
+:func:`_certificate_ratio`; ``bachimpact check`` calls the reducer on the one
+batch that also gives its certainty equivalent, so the certificate and the
+sandwich bound are read off the same 2000 hedged paths.
 """
 
 from __future__ import annotations
@@ -465,6 +469,19 @@ def supermartingale_check_mc(
     :class:`OverflowGuardError`.
     """
     batch = run_hedge_batch(a_risk, lam, model, payoff, phi0, grid, n_paths, seed, workers)
+    return _certificate_ratio(a_risk, lam, model, payoff, phi0, batch)
+
+
+def _certificate_ratio(
+    a_risk: float, lam: float, model: BachelierModel, payoff: Payoff, phi0, batch: HedgeBatch
+) -> tuple[float, float]:
+    """Mean and standard error of the corrected terminal ratio over ``batch``.
+
+    The reducer of :func:`supermartingale_check_mc`, for a caller that also
+    needs the batch for something else (``check`` builds its certainty
+    equivalent from the same paths).
+    """
+    n_paths = len(batch.terminal_wealth)
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))[None, :]
     log_m_t = _certificate_log(
         a_risk, lam, model, payoff, model.T, batch.s_terminal, batch.phi_terminal,

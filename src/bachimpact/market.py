@@ -51,20 +51,30 @@ class BachelierModel:
         return self.sigma.dim
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float vector, so values cached from it cannot go stale."""
+    arr = np.array(a, dtype=float, ndmin=1)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class BasketCall:
     """Payoff (<a, x> + b)^+ with closed forms for everything downstream."""
 
     a: np.ndarray
     b: float
+    lipschitz_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
+        a = _read_only(self.a)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "lipschitz_constant", float(np.linalg.norm(a)))
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return float(np.linalg.norm(self.a))
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy's vector is read-only too
+        return BasketCall, (self.a, self.b)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -108,9 +118,10 @@ class RidgePayoff:
     slopes: np.ndarray
     intercepts: np.ndarray
     name: str = "ridge"
+    lipschitz_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
+        object.__setattr__(self, "a", _read_only(self.a))
         object.__setattr__(self, "b", float(self.b))
         slopes = np.atleast_1d(np.asarray(self.slopes, dtype=float))
         intercepts = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
@@ -125,10 +136,12 @@ class RidgePayoff:
         for key, arr in (("slopes", slopes[order]), ("intercepts", intercepts[order])):
             arr.flags.writeable = False
             object.__setattr__(self, key, arr)
+        lip = float(np.linalg.norm(self.a)) * float(np.abs(self.slopes).max())
+        object.__setattr__(self, "lipschitz_constant", lip)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return float(np.linalg.norm(self.a)) * float(np.abs(self.slopes).max())
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy's arrays are read-only too
+        return RidgePayoff, (self.a, self.b, self.slopes, self.intercepts, self.name)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         r = np.asarray(x, dtype=float) @ self.a + self.b

@@ -9,9 +9,22 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bachimpact import ConfigError, NotPositiveDefiniteError
-from bachimpact.cli import main
+from bachimpact import (
+    BachelierModel,
+    BasketCall,
+    ConfigError,
+    NotPositiveDefiniteError,
+    TimeGrid,
+    asymptotics,
+    certainty_equivalent_mc,
+    hedging,
+    make_spd,
+    run_hedge_batch,
+    supermartingale_check_mc,
+)
+from bachimpact.cli import cmd_check, main
 from bachimpact.config import (
+    GENERIC_PAYOFFS,
     _SCHEMA,
     config_hash,
     emit_config,
@@ -436,3 +449,38 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "numeric failure" in captured.err
         assert "ratio=inf" not in captured.out
+
+    def test_one_hedge_pass(self, monkeypatch, capsys):
+        # the supermartingale and sandwich items read one batch; the CE's own
+        # binding is counted too, so a second pass through it cannot hide
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_hedge_batch(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "run_hedge_batch", counting)
+        monkeypatch.setattr(asymptotics, "run_hedge_batch", counting)
+        assert cmd_check(load_config(CONFIG_DIR / "check_default.cfg"), None, True) == 0
+        assert len(calls) == 1
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_reducers_on_one_batch_equal_the_estimators(self, d):
+        # drift and a start inventory so every term of the certificate counts
+        if d == 1:
+            model = BachelierModel(s0=[8.0], mu=[0.3], sigma=make_spd([[1.0]]), T=1.0)
+            payoff, phi0 = BasketCall(a=[1.0], b=-8.0), [0.2]
+        else:
+            sigma = make_spd([[1.0, 0.3, 0.2], [0.3, 0.9, 0.1], [0.2, 0.1, 0.8]])
+            model = BachelierModel(s0=[8.0, 7.0, 9.0], mu=[0.1, -0.2, 0.0], sigma=sigma, T=1.0)
+            payoff = GENERIC_PAYOFFS["straddle"](np.array([0.5, 0.3, 0.2]), -8.0)
+            phi0 = [0.1, -0.1, 0.05]
+        grid, n_paths, seed = TimeGrid(n_steps=32, T=1.0), 300, 11
+        batch = run_hedge_batch(1.0, 0.2, model, payoff, phi0, grid, n_paths, seed)
+        assert hedging._certificate_ratio(1.0, 0.2, model, payoff, phi0, batch) == (
+            supermartingale_check_mc(1.0, 0.2, model, payoff, phi0, grid, n_paths, seed)
+        )
+        assert asymptotics._ce_estimate(1.0, 0.2, batch) == certainty_equivalent_mc(
+            1.0, 0.2, model, payoff, phi0, n_paths, grid, seed
+        )

@@ -1,12 +1,13 @@
-"""Golden outputs: the shipped-config CSVs must keep their exact bytes.
+"""Golden outputs: the shipped-config CSVs and ``check`` report keep their exact bytes.
 
-Refactors of the engine are meant to leave every number unchanged, so each
-CSV's sha256 is compared with the digest in ``golden_outputs.json``.  Float
-results can move in the last bit across numpy/scipy releases, so the test
-skips when the installed versions differ from the ones the digests were
-recorded with.  Each run is a fresh process with BLAS pinned to one thread,
-as the digests were recorded; the rule-weighted sums behind ``dual`` are
-fixed-order reductions, so its bytes must also match at two threads.
+Refactors of the engine are meant to leave every number unchanged, so the
+sha256 of each CSV (of stdout for ``check``, which writes no CSV) is
+compared with the digest in ``golden_outputs.json``.  Float results can move
+in the last bit across numpy/scipy releases, so the test skips when the
+installed versions differ from the ones the digests were recorded with.
+Each run is a fresh process with BLAS pinned to one thread, as the digests
+were recorded; the rule-weighted sums behind ``dual`` are fixed-order
+reductions, so its bytes must also match at two threads.
 """
 
 import hashlib
@@ -30,18 +31,21 @@ RUNS = {
     "dual": ["dual", "--config", "configs/dual_atm.cfg"],
     "figure": ["figure", "--config", "configs/figure1.cfg"],
     "price": ["price", "--config", "configs/figure1.cfg"],
+    "check": ["check", "--config", "configs/check_default.cfg"],
 }
+# runs whose output is their stdout; they ignore --out
+STDOUT_RUNS = {"check"}
 
 
 def _run(name: str, out: Path, threads: int = 1) -> bytes:
-    """CSV bytes of one shipped run in a fresh process with BLAS at ``threads``."""
+    """Output bytes of one shipped run in a fresh process with BLAS at ``threads``."""
     env = {**os.environ, **{k: str(threads) for k in THREAD_VARS}}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "bachimpact.cli", *RUNS[name], "--out", str(out), "--quiet"],
-        cwd=ROOT, env=env, check=True,
+        cwd=ROOT, env=env, check=True, stdout=subprocess.PIPE,
     )
-    return out.read_bytes()
+    return proc.stdout if name in STDOUT_RUNS else out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -53,7 +57,7 @@ def test_csv_bytes_match_golden(name, tmp_path):
             f"running numpy {versions[0]} / scipy {versions[1]}"
         )
     digest = hashlib.sha256(_run(name, tmp_path / f"{name}.csv")).hexdigest()
-    assert digest == GOLDEN["sha256"][name], f"{name} CSV bytes changed"
+    assert digest == GOLDEN["sha256"][name], f"{name} output bytes changed"
 
 
 def test_dual_bytes_independent_of_blas_threads(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bachimpact import (
     sup_convolve_argmax,
     zero_payoff,
 )
+from bachimpact.config import GENERIC_PAYOFFS
 from bachimpact.market import _sup_convolve_batch, antithetic_normals, substream
 
 
@@ -42,6 +44,18 @@ class TestTypes:
     def test_basket_lipschitz_constant(self):
         call = BasketCall(a=[3.0, 4.0], b=0.0)
         assert call.lipschitz_constant == pytest.approx(5.0)
+
+    def test_cached_lipschitz_constant_cannot_go_stale(self):
+        # the constant is computed once, so the weights it came from are
+        # read-only, in a pickled copy too; the caller's array is not frozen
+        weights = np.array([3.0, 4.0])
+        for payoff in (BasketCall(a=weights, b=0.0), GENERIC_PAYOFFS["straddle"](weights, 0.0)):
+            for copy in (payoff, pickle.loads(pickle.dumps(payoff))):
+                assert copy.lipschitz_constant == 5.0
+                assert not copy.a.flags.writeable
+                with pytest.raises(ValueError):
+                    copy.a[0] = 0.0
+        assert weights.flags.writeable
 
 
 class TestPayoffEval:
