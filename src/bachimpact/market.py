@@ -52,7 +52,7 @@ class BachelierModel:
 
 
 def _read_only(a) -> np.ndarray:
-    """``a`` as a read-only float vector, so values cached from it cannot go stale."""
+    """A read-only float copy of the vector ``a``, so nothing cached from it goes stale."""
     arr = np.array(a, dtype=float, ndmin=1)
     arr.flags.writeable = False
     return arr
@@ -67,10 +67,9 @@ class BasketCall:
     lipschitz_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _read_only(self.a)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _read_only(self.a))
         object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "lipschitz_constant", float(np.linalg.norm(a)))
+        object.__setattr__(self, "lipschitz_constant", float(np.linalg.norm(self.a)))
 
     def __reduce__(self):
         # rebuilt through __init__, so a copy's vector is read-only too
@@ -133,9 +132,8 @@ class RidgePayoff:
         if np.abs(slopes).max() > 1.0:
             raise InvalidParameterError("ridge profile slopes must lie in [-1, 1]")
         order = np.lexsort((intercepts, slopes))
-        for key, arr in (("slopes", slopes[order]), ("intercepts", intercepts[order])):
-            arr.flags.writeable = False
-            object.__setattr__(self, key, arr)
+        object.__setattr__(self, "slopes", _read_only(slopes[order]))
+        object.__setattr__(self, "intercepts", _read_only(intercepts[order]))
         lip = float(np.linalg.norm(self.a)) * float(np.abs(self.slopes).max())
         object.__setattr__(self, "lipschitz_constant", lip)
 

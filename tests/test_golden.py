@@ -33,8 +33,6 @@ RUNS = {
     "price": ["price", "--config", "configs/figure1.cfg"],
     "check": ["check", "--config", "configs/check_default.cfg"],
 }
-# runs whose output is their stdout; they ignore --out
-STDOUT_RUNS = {"check"}
 
 
 def _run(name: str, out: Path, threads: int = 1) -> bytes:
@@ -45,7 +43,8 @@ def _run(name: str, out: Path, threads: int = 1) -> bytes:
         [sys.executable, "-m", "bachimpact.cli", *RUNS[name], "--out", str(out), "--quiet"],
         cwd=ROOT, env=env, check=True, stdout=subprocess.PIPE,
     )
-    return proc.stdout if name in STDOUT_RUNS else out.read_bytes()
+    # check prints its report and writes no CSV
+    return proc.stdout if name == "check" else out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
