@@ -28,14 +28,12 @@ from .linalg import (
 from .market import (
     BachelierModel,
     BasketCall,
-    GenericLipschitz,
     Payoff,
     RidgePayoff,
     TimeGrid,
     brownian_increments,
     sup_convolve,
     sup_convolve_argmax,
-    zero_payoff,
 )
 from .pricing import (
     QuadratureRule,

@@ -99,7 +99,6 @@ def certainty_equivalent_mc(
     n_paths: int,
     grid: TimeGrid,
     seed: int,
-    rule: Optional[QuadratureRule] = None,
     workers: int = 1,
 ) -> CeEstimate | list[CeEstimate]:
     """Certainty equivalent along the tracking hedge, by simulation.
@@ -125,7 +124,7 @@ def certainty_equivalent_mc(
                 stacklevel=2,
             )
     batches = run_hedge_batch(
-        a_risk, lams, model, payoff, phi0, grid, n_paths, seed, workers=workers, rule=rule
+        a_risk, lams, model, payoff, phi0, grid, n_paths, seed, workers=workers
     )
     estimates = [_ce_estimate(a_risk, impact, batch) for impact, batch in zip(lams, batches)]
     return estimates if many else estimates[0]
@@ -206,17 +205,11 @@ def _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal) -> np.ndarray:
     return payoff_vals + y @ phi0 - penalty
 
 
-def optimal_dual_Y(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    phi0,
-    eps: float = 1e-9,
-) -> DualSpec:
+def optimal_dual_Y(a_risk: float, model: BachelierModel, payoff: Payoff, phi0) -> DualSpec:
     """Selector achieving the scaling limit in the dual functional.
 
-    At each terminal Brownian value w, evaluate the inflated payoff's
-    eps-displacement at x = s0 - sqrt(A) phi0 sigma + w sigma; the selector is
+    At each terminal Brownian value w, evaluate the inflated payoff's exact
+    displacement at x = s0 - sqrt(A) phi0 sigma + w sigma; the selector is
     the NEGATED displacement plus the constant inventory shift
     sqrt(A) phi0 sigma.  (The dual functional evaluates the payoff at
     s0 + w sigma - Y, so recovering f(x + y*) requires Y to carry -y*.)
@@ -227,8 +220,7 @@ def optimal_dual_Y(
 
     def selector(w_terminal: np.ndarray) -> np.ndarray:
         x = model.s0[None, :] - base_shift[None, :] + w_terminal @ model.sigma.entries
-        y_star = sup_convolve_argmax(payoff, a_risk, model.sigma, x, eps=eps)
-        return -y_star
+        return -sup_convolve_argmax(payoff, a_risk, model.sigma, x)
 
     # the maximiser lies within the search radius of the origin
     bound = _search_radius(payoff, a_risk, model.sigma) + float(np.linalg.norm(base_shift))

@@ -19,6 +19,7 @@ from . import asymptotics, hedging, market, pricing
 from .config import ExperimentConfig, config_hash, load_config
 from .errors import (
     BachImpactError,
+    InvalidTimeError,
     NonFiniteResultError,
     OverflowGuardError,
 )
@@ -70,7 +71,6 @@ def _header(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
 
 def cmd_price(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Claim price, gradient and heat-equation residual per (A, point)."""
-    rule = _resolve_rule(cfg)
     d = cfg.model.d
     lines = _header(cfg)
     delta_cols = ",".join(f"delta_{i}" for i in range(d))
@@ -79,18 +79,16 @@ def cmd_price(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     p = cfg.precision
     for a_risk in cfg.price_a_grid:
         for x in cfg.price_x:
-            u_val = pricing.price_u(a_risk, cfg.model, cfg.payoff, cfg.price_t, x, rule)
-            if cfg.price_t < cfg.model.T - 10.0 * cfg.fd_step:
-                delta = pricing.delta_u(
-                    a_risk, cfg.model, cfg.payoff, cfg.price_t, x, rule, cfg.fd_step
-                )
-                residual = pricing.pde_residual(
-                    a_risk, cfg.model, cfg.payoff, cfg.price_t, x, rule
-                )
-                derived = [*(_fmt(v, p) for v in delta), _fmt(residual, p)]
-            else:
-                # too close to maturity for differences: marked, not computed
-                derived = ["nan"] * (d + 1)
+            u_val = pricing.price_u(a_risk, cfg.model, cfg.payoff, cfg.price_t, x)
+            derived = ["nan"] * (d + 1)  # at maturity the payoff kinks: marked, not computed
+            if cfg.price_t < cfg.model.T:
+                delta = pricing.delta_u(a_risk, cfg.model, cfg.payoff, cfg.price_t, x)
+                derived[:d] = [_fmt(v, p) for v in delta]
+                try:
+                    residual = pricing.pde_residual(a_risk, cfg.model, cfg.payoff, cfg.price_t, x)
+                    derived[d] = _fmt(residual, p)
+                except InvalidTimeError:
+                    pass  # too close to maturity for the time difference: stays nan
             row = [
                 _fmt(a_risk, p),
                 _fmt(cfg.price_t, p),
@@ -105,12 +103,11 @@ def cmd_price(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
 
 def cmd_figure(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Limiting indifference price as a function of the inflation parameter."""
-    rule = _resolve_rule(cfg)
     lines = _header(cfg)
     lines.append("a_risk,indifference_limit")
     p = cfg.precision
     for a_risk in cfg.figure_a_grid:
-        val = pricing.indifference_limit(a_risk, cfg.model, cfg.payoff, cfg.phi0, rule)
+        val = pricing.indifference_limit(a_risk, cfg.model, cfg.payoff, cfg.phi0)
         lines.append(f"{_fmt(a_risk, p)},{_fmt(val, p)}")
     _emit(lines, cfg, out)
     return EXIT_OK
@@ -166,11 +163,10 @@ def cmd_hedge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
 
 def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Certainty equivalent across the impact list against the limit value."""
-    rule = _resolve_rule(cfg)
-    limit = pricing.limit_value(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, rule)
+    limit = pricing.limit_value(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0)
     resolved, estimates = _per_impact(cfg, lambda lams, grid: asymptotics.certainty_equivalent_mc(
         cfg.a_risk, lams, cfg.model, cfg.payoff, cfg.phi0,
-        cfg.n_paths, grid, cfg.seed, rule, workers=cfg.workers,
+        cfg.n_paths, grid, cfg.seed, workers=cfg.workers,
     ))
     rows = []
     p = cfg.precision
@@ -238,9 +234,7 @@ def cmd_dual(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     rule = _resolve_rule(cfg)
     specs = [
         asymptotics.DualSpec(h=_ZeroSelector(), bounded=True, bound=0.0, name="zero"),
-        asymptotics.optimal_dual_Y(
-            cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, eps=cfg.dual_eps
-        ),
+        asymptotics.optimal_dual_Y(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0),
     ]
     specs.extend(_random_bounded_specs(cfg, cfg.dual_n_random_specs))
     lines = _header(cfg)
@@ -289,7 +283,7 @@ def _check_items(cfg: ExperimentConfig):
 
     t_mid = 0.5 * model.T
     try:
-        res = pricing.pde_residual(a_risk, model, payoff, t_mid, model.s0, rule)
+        res = pricing.pde_residual(a_risk, model, payoff, t_mid, model.s0)
         yield "pde_residual", abs(res) < 1e-3, f"|residual|={abs(res):.2e}"
     except BachImpactError as exc:
         yield "pde_residual", False, f"raised {type(exc).__name__}"
@@ -322,7 +316,7 @@ def _check_items(cfg: ExperimentConfig):
         warnings.simplefilter("ignore")
         grid_mc = market.TimeGrid(n_steps=256, T=model.T)
         batch = hedging.run_hedge_batch(
-            a_risk, lam0, model, payoff, cfg.phi0, grid_mc, 2000, cfg.seed, rule=rule
+            a_risk, lam0, model, payoff, cfg.phi0, grid_mc, 2000, cfg.seed
         )
         mean_ratio, se = hedging._certificate_ratio(a_risk, lam0, model, payoff, cfg.phi0, batch)
     yield (
@@ -335,7 +329,7 @@ def _check_items(cfg: ExperimentConfig):
         warnings.simplefilter("ignore")
         est = asymptotics._ce_estimate(a_risk, lam0, batch)
     del batch
-    limit = pricing.limit_value(a_risk, model, payoff, cfg.phi0, rule)
+    limit = pricing.limit_value(a_risk, model, payoff, cfg.phi0)
     slack = hedging.drift_slack(a_risk, lam0, model, payoff, cfg.phi0)
     upper_ok = est.value <= limit + slack + 3.0 * est.std_error + 0.02
     spec = asymptotics.optimal_dual_Y(a_risk, model, payoff, cfg.phi0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import make_spd
-from .market import BachelierModel, BasketCall, Payoff, RidgePayoff, zero_payoff
+from .market import BachelierModel, BasketCall, Payoff, RidgePayoff
 
 # value kinds: f float, i int, fl float list, s string, auto_i int-or-"auto"
 _SCHEMA = {
@@ -35,12 +35,10 @@ _SCHEMA = {
     "price.a_grid": "fl",
     "price.t": "f",
     "price.x": "fl",  # k*d values, row-major evaluation points
-    "dual.eps": "f",
     "dual.n_random_specs": "i",
     "numerics.n_paths": "i",
     "numerics.n_steps": "auto_i",
     "numerics.quad_m": "auto_i",
-    "numerics.fd_step": "f",
     "numerics.seed": "i",
     "numerics.workers": "i",
     "output.csv": "s",
@@ -59,12 +57,10 @@ _DEFAULTS = {
     "price.a_grid": [1.0],
     "price.t": 0.0,
     "price.x": None,  # s0
-    "dual.eps": 1e-9,
     "dual.n_random_specs": 20,
     "numerics.n_paths": 100_000,
     "numerics.n_steps": "auto",
     "numerics.quad_m": "auto",
-    "numerics.fd_step": 1e-4,
     "numerics.workers": 1,
     "output.csv": "",
     "output.precision": 9,
@@ -78,10 +74,10 @@ def _profile(name: str, slopes: tuple):
     return lambda a, b: RidgePayoff(a, b, slopes, (0.0,) * len(slopes), name=name)
 
 
-# generic payoffs by name; straddle and basket_call are ridge payoffs whose
-# profile is data, priced exactly in any d
+# generic payoffs by name: ridge payoffs whose profile is data, priced
+# exactly in any d (zero's one flat piece makes it 0 whatever a and b are)
 GENERIC_PAYOFFS = {
-    "zero": lambda a, b: zero_payoff(),
+    "zero": _profile("zero", (0.0,)),
     "straddle": _profile("straddle", (-1.0, 1.0)),
     "basket_call": _profile("basket_call", (0.0, 1.0)),
 }
@@ -100,12 +96,10 @@ class ExperimentConfig:
     price_a_grid: list[float]
     price_t: float
     price_x: np.ndarray  # (k, d)
-    dual_eps: float
     dual_n_random_specs: int
     n_paths: int
     n_steps: object  # int or "auto"
     quad_m: object  # int or "auto"
-    fd_step: float
     seed: int
     workers: int
     csv_path: str
@@ -230,8 +224,6 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ConfigError("numerics.workers must be >= 1")
     if not 0 <= merged["numerics.seed"] < 2**64:
         raise ConfigError("numerics.seed must lie in [0, 2^64)")
-    if merged["numerics.fd_step"] <= 0.0:
-        raise ConfigError("numerics.fd_step must be positive")
     if merged["dual.n_random_specs"] < 0:
         raise ConfigError("dual.n_random_specs must be >= 0")
     if merged["output.precision"] < 1:
@@ -247,12 +239,10 @@ def resolve_config(values: dict) -> ExperimentConfig:
         price_a_grid=list(merged["price.a_grid"]),
         price_t=price_t,
         price_x=price_x_arr,
-        dual_eps=merged["dual.eps"],
         dual_n_random_specs=merged["dual.n_random_specs"],
         n_paths=n_paths,
         n_steps=n_steps,
         quad_m=quad_m,
-        fd_step=merged["numerics.fd_step"],
         seed=merged["numerics.seed"],
         workers=workers,
         csv_path=merged["output.csv"],

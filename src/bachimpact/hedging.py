@@ -13,6 +13,9 @@ freeze the target per step and apply the exact frozen-coefficient solution
     Phi_{k+1} = Theta_k + (Phi_k - Theta_k) exp(-sqrt(A) h sigma / lam),
 
 which is unconditionally stable and exact whenever the target is constant.
+The target is the claim's exact delta at the inventory-shifted spot, from
+one closed-form evaluator built per chunk, so no quadrature rule or finite
+difference enters the loop.
 
 One loop, :func:`_hedge_chunk`, produces every hedge: :func:`run_hedge_batch`
 keeps terminal summaries, :func:`hedge_paths` also records every knot so the
@@ -30,7 +33,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .linalg import SpdMatrix, inverse, mat_exp, row_vec_mul
 from .market import BachelierModel, Payoff, TimeGrid, brownian_increments, substream
 # delta_u is not called here: bench/spans.py looks its boundary up in this
 # module, and traced runs silently drop the delta_u metrics without the binding
-from .pricing import QuadratureRule, _closed_form_delta_factory, delta_u, price_u  # noqa: F401
+from .pricing import _closed_form_delta_factory, delta_u, price_u  # noqa: F401
 
 AUTO_STEPS_FLOOR = 1000
 AUTO_STEPS_CAP = 100_000
@@ -200,7 +203,7 @@ def drift_slack(a_risk: float, lam: float, model: BachelierModel, payoff: Payoff
     return (lam / math.sqrt(a_risk)) * 2.0 * bound_c * model.T * mu_siginv_norm
 
 
-def _certificate_log(a_risk, lam, model, payoff, t, s, phi, phi0, wealth, rule=None):
+def _certificate_log(a_risk, lam, model, payoff, t, s, phi, phi0, wealth):
     """Log of the certification process at time t for (m, d) prices and positions.
 
     (A/lam) * (claim price at the shifted spot s - sqrt(A) phi sigma +
@@ -211,7 +214,7 @@ def _certificate_log(a_risk, lam, model, payoff, t, s, phi, phi0, wealth, rule=N
     sqa = math.sqrt(a_risk)
     sigma = model.sigma.entries
     mu_siginv = row_vec_mul(model.mu, inverse(model.sigma).entries)
-    u_vals = price_u(a_risk, model, payoff, t, s - sqa * (phi @ sigma), rule)
+    u_vals = price_u(a_risk, model, payoff, t, s - sqa * (phi @ sigma))
     inventory = 0.5 * sqa * np.einsum("ij,jk,ik->i", phi, sigma, phi)
     correction = -sqa * ((phi - phi0) @ mu_siginv)
     return correction + (a_risk / lam) * (u_vals + inventory - wealth)
@@ -287,7 +290,7 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     targets) at every knot, else None.  ``frozen_targets`` (n, d) replaces
     the live targets of every path.
     """
-    (a_risk, lams, model, payoff, phi0, n, h, seed, start, stop, rule) = args
+    (a_risk, lams, model, payoff, phi0, n, h, seed, start, stop) = args
     d = model.d
     m = stop - start
     n_lam = len(lams)
@@ -295,7 +298,7 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     relax = np.stack([step_matrix(a_risk, lam, model.sigma, h) for lam in lams])
     lam_col = np.asarray(lams, dtype=float)[:, None]
     half_lam = 0.5 * lam_col
-    target_fn = _closed_form_delta_factory(a_risk, model, payoff, rule)
+    target_fn = _closed_form_delta_factory(a_risk, model, payoff)
     prod, dot, square_norm = _products(d)
     rngs = [substream(seed, start + i) for i in range(m)]
     block = max(1, min(n, DRAW_BLOCK_DOUBLES // (m * d)))
@@ -372,7 +375,6 @@ def run_hedge_batch(
     seed: int,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
-    rule: Optional[QuadratureRule] = None,
 ) -> HedgeBatch | list[HedgeBatch]:
     """Tracking hedge over many paths without materialising path objects.
 
@@ -390,7 +392,7 @@ def run_hedge_batch(
     bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
     jobs = [
         (a_risk, lams, model, payoff, np.atleast_1d(np.asarray(phi0, dtype=float)),
-         grid.n_steps, grid.dt, seed, lo, hi, rule)
+         grid.n_steps, grid.dt, seed, lo, hi)
         for lo, hi in bounds
     ]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
@@ -445,7 +447,7 @@ def hedge_paths(
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (n, d):
             raise DimensionMismatchError(f"theta must be ({n}, {d})")
-    job = (a_risk, (lam,), model, payoff, phi0, n, grid.dt, seed, 0, n_paths, None)
+    job = (a_risk, (lam,), model, payoff, phi0, n, grid.dt, seed, 0, n_paths)
     *summary, knots = _hedge_chunk(job, record=True, frozen_targets=theta)
     return HedgePaths(grid, *knots, batch=HedgeBatch(*summary))
 

@@ -4,26 +4,26 @@ inflation transform used throughout the scaling analysis.
 Price dynamics are arithmetic: S_t = s0 + mu*t + W_t sigma with W a standard
 d-dimensional Brownian motion and sigma a fixed SPD volatility matrix.  All
 vectors are row vectors; ``z sigma`` means the row-vector/matrix product.
+Every payoff is a basket call or a ridge payoff of a convex max-of-affine
+profile, so the inflated claim and its maximiser are exact in any d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BudgetExceededError, DimensionMismatchError, InvalidParameterError
-from .linalg import SpdMatrix, inverse, quad_form
+from .errors import DimensionMismatchError, InvalidParameterError
+from .linalg import SpdMatrix, quad_form
 
-# grid-search defaults for the generic sup-convolution (see sup_convolve)
+# no search runs here: bench/spans.py's sup-convolution counter reads these
+# two, and the grid-search oracle of the tests takes them as its defaults
 SEARCH_GRID_POINTS = 41
 SEARCH_ROUNDS = 3
-SEARCH_SHRINK = 0.2
-# largest tensor grid (quadrature nodes or search candidates per point)
-NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,14 @@ def _read_only(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash() by identity; generated ones compare the arrays and raise in d >= 2
+@dataclass(frozen=True, eq=False)
 class BasketCall:
     """Payoff (<a, x> + b)^+ with closed forms for everything downstream."""
 
     a: np.ndarray
     b: float
-    lipschitz_constant: float = field(init=False, repr=False, compare=False)
+    lipschitz_constant: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _read_only(self.a))
@@ -80,28 +81,7 @@ class BasketCall:
         return np.maximum(x @ self.a + self.b, 0.0)
 
 
-@dataclass(frozen=True)
-class GenericLipschitz:
-    """Arbitrary Lipschitz payoff with a declared constant.
-
-    ``fn`` must accept arrays of shape (..., d) and return shape (...);
-    the declared constant is what the inflation transform's search radius
-    is derived from, so it must genuinely dominate the payoff's slope.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz_constant: float
-    name: str = "generic"
-
-    def __post_init__(self):
-        if self.lipschitz_constant < 0.0:
-            raise InvalidParameterError("Lipschitz constant must be >= 0")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity == and hash(), as for BasketCall
 class RidgePayoff:
     """Payoff h(<a, x> + b) of a convex profile h(y) = max_i(slopes_i y + intercepts_i).
 
@@ -117,7 +97,7 @@ class RidgePayoff:
     slopes: np.ndarray
     intercepts: np.ndarray
     name: str = "ridge"
-    lipschitz_constant: float = field(init=False, repr=False, compare=False)
+    lipschitz_constant: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _read_only(self.a))
@@ -146,16 +126,7 @@ class RidgePayoff:
         return np.max(r[..., None] * self.slopes + self.intercepts, axis=-1)
 
 
-Payoff = Union[BasketCall, RidgePayoff, GenericLipschitz]
-
-
-def _zero_fn(x: np.ndarray) -> np.ndarray:
-    return np.zeros(np.asarray(x).shape[:-1])
-
-
-def zero_payoff() -> GenericLipschitz:
-    """The identically-zero claim (picklable, safe for worker pools)."""
-    return GenericLipschitz(fn=_zero_fn, lipschitz_constant=0.0, name="zero")
+Payoff = Union[BasketCall, RidgePayoff]
 
 
 @dataclass(frozen=True)
@@ -216,24 +187,10 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
 
 
 def _search_radius(payoff: Payoff, a_risk: float, sigma: SpdMatrix) -> float:
-    # the quadratic penalty dominates the payoff gain beyond this radius:
+    # the optimal selector's declared bound: every maximiser lies within this
+    # radius, as beyond it the quadratic penalty dominates the payoff gain:
     # f(x+y) - f(x) <= L ||y|| while <y sigma^{-1}, y>/(2 sqrt A) >= ||y||^2/(2 sqrt A lam_max)
-    lip = payoff.lipschitz_constant
-    return 2.0 * math.sqrt(a_risk) * sigma.max_eig * lip
-
-
-def _axis_offsets(radius: float, d: int, points: int) -> np.ndarray:
-    axis = np.linspace(-radius, radius, points)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
-def _search_candidates(d: int, grid_points: int = SEARCH_GRID_POINTS) -> int:
-    """Candidates per point of the generic grid search; over NODE_BUDGET raises."""
-    candidates = grid_points**d
-    if candidates > NODE_BUDGET:
-        raise BudgetExceededError(f"search grid {grid_points}^{d} exceeds the {NODE_BUDGET} budget")
-    return candidates
+    return 2.0 * math.sqrt(a_risk) * sigma.max_eig * payoff.lipschitz_constant
 
 
 def _ridge_hull(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix):
@@ -265,93 +222,34 @@ def _meet(p, q) -> float:
 
 
 def _sup_convolve_batch(
-    payoff: Payoff,
-    a_risk: float,
-    sigma: SpdMatrix,
-    x: np.ndarray,
-    rounds: int = SEARCH_ROUNDS,
-    grid_points: int = SEARCH_GRID_POINTS,
-    row_block: int = 2048,
+    payoff: Payoff, a_risk: float, sigma: SpdMatrix, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values (n,) and argmaxes (n, d) of the transform at (n, d) points.
-
-    A ridge payoff is exact (:func:`sup_convolve`); a generic row block
-    holds (rows, grid_points^d, d) candidates, so it shrinks as the grid
-    grows (49 rows at d = 3); a grid over NODE_BUDGET raises.
-    """
+    """Values (n,) and argmaxes (n, d) of the transform at (n, d) points, exactly."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
     if isinstance(payoff, BasketCall):
         shift = payoff.a @ sigma.entries * math.sqrt(a_risk)
         inflated = x @ payoff.a + inflated_strike(payoff, a_risk, sigma)
         vals = np.maximum(inflated, 0.0)
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
-    if isinstance(payoff, RidgePayoff):
-        # piece i attains its sup at y = sqrt(A) s_i a sigma; argmax takes the
-        # first, so the smaller slope, at a kink
-        slopes, levels, _, a_sig = _ridge_hull(payoff, a_risk, sigma)
-        pieces = (x @ payoff.a + payoff.b)[:, None] * slopes + levels
-        best = np.argmax(pieces, axis=1)
-        ys = (math.sqrt(a_risk) * slopes[best])[:, None] * a_sig[None, :]
-        return pieces[np.arange(n), best], ys
-
-    radius0 = _search_radius(payoff, a_risk, sigma)
-    if radius0 == 0.0:
-        return payoff.evaluate(x), np.zeros_like(x)
-    candidates = _search_candidates(d, grid_points)
-    row_block = max(1, min(row_block, row_block * SEARCH_GRID_POINTS**2 // candidates))
-    return _grid_search(
-        payoff.evaluate, radius0, 1.0 / (2.0 * math.sqrt(a_risk)), inverse(sigma).entries,
-        x, rounds, grid_points, row_block,
-    )
-
-
-def _grid_search(evaluate, radius0, inv_two_sqrt_a, sig_inv, x, rounds, grid_points, row_block):
-    """Best values and displacements of evaluate(x + y) - inv_two_sqrt_a <y sig_inv, y>.
-
-    A grid of ``grid_points`` per axis over the ball of ``radius0``, then
-    ``rounds`` grids shrunk by SEARCH_SHRINK around each row's best point.
-    """
-    n, d = x.shape
-    best_val = evaluate(x)
-    best_y = np.zeros_like(x)
-    for lo in range(0, n, row_block):
-        hi = min(lo + row_block, n)
-        xb = x[lo:hi]
-        vb = best_val[lo:hi].copy()
-        yb = best_y[lo:hi].copy()
-        centers = np.zeros_like(xb)
-        radius = radius0
-        for _ in range(rounds + 1):
-            offsets = _axis_offsets(radius, d, grid_points)
-            cand = centers[:, None, :] + offsets[None, :, :]
-            penalty = inv_two_sqrt_a * np.einsum("mgj,jk,mgk->mg", cand, sig_inv, cand)
-            obj = evaluate(xb[:, None, :] + cand) - penalty
-            idx = np.argmax(obj, axis=1)
-            rows = np.arange(xb.shape[0])
-            improved = obj[rows, idx] > vb
-            vb = np.where(improved, obj[rows, idx], vb)
-            yb = np.where(improved[:, None], cand[rows, idx], yb)
-            centers = yb
-            radius *= SEARCH_SHRINK
-        best_val[lo:hi] = vb
-        best_y[lo:hi] = yb
-    return best_val, best_y
+    # piece i attains its sup at y = sqrt(A) s_i a sigma; argmax takes the
+    # first, so the smaller slope, at a kink
+    slopes, levels, _, a_sig = _ridge_hull(payoff, a_risk, sigma)
+    pieces = (x @ payoff.a + payoff.b)[:, None] * slopes + levels
+    best = np.argmax(pieces, axis=1)
+    ys = (math.sqrt(a_risk) * slopes[best])[:, None] * a_sig[None, :]
+    return pieces[np.arange(len(x)), best], ys
 
 
 def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
     """Inflated payoff sup_y [f(x+y) - <y sigma^{-1}, y>/(2 sqrt(a_risk))].
 
-    This is the effective claim in the small-impact scaling limit.  Basket
-    calls use the closed form (<a,x> + :func:`inflated_strike`)^+.  A ridge
-    payoff h(<a,x> + b), h(y) = max_i(s_i y + beta_i), is exact in any d:
+    This is the effective claim in the small-impact scaling limit, exact in
+    any d.  Basket calls use the closed form (<a,x> + :func:`inflated_strike`)^+.
+    A ridge payoff h(<a,x> + b), h(y) = max_i(s_i y + beta_i), inflates to
     g(x) = max_i(s_i r + beta_i + c s_i^2/2) at r = <a,x> + b,
     c = sqrt(a_risk) <a sigma, a>, because the sup of a max is the max of the
-    per-piece sups.  Other generic payoffs are maximised by a bounded-ball
-    grid search in R^d with local refinement (the maximiser provably lies
-    within 2 sqrt(a_risk) lam_max(sigma) L of the origin), refused from d = 4
-    by the node budget.  Always >= f(x).
+    per-piece sups.  Always >= f(x).
     ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
     """
     if a_risk <= 0.0:
@@ -361,41 +259,18 @@ def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
     return vals if batch else float(vals[0])
 
 
-def sup_convolve_argmax(
-    payoff: Payoff,
-    a_risk: float,
-    sigma: SpdMatrix,
-    x,
-    eps: float = 1e-9,
-) -> np.ndarray:
-    """A displacement y achieving the inflated payoff within ``eps``.
+def sup_convolve_argmax(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x) -> np.ndarray:
+    """A displacement y achieving the inflated payoff exactly.
 
     For basket calls returns sqrt(a_risk) * a sigma on the inflated-positive
     branch and 0 otherwise (ties at the kink resolve to 0, which keeps the
-    selector bounded and measurable).  Ridge payoffs return the exact
+    selector bounded and measurable).  Ridge payoffs return
     sqrt(a_risk) s_i a sigma of their winning piece, the smaller slope at a
-    kink; other generic payoffs refine the grid search in R^d until its
-    resolution is below ``eps``.  ``x`` is one point (d,) or a batch (m, d);
-    the result is (d,) or (m, d).
+    kink.  ``x`` is one point (d,) or a batch (m, d); the result is (d,) or
+    (m, d).
     """
-    if a_risk <= 0.0 or eps <= 0.0:
-        raise InvalidParameterError("a_risk and eps must be positive")
+    if a_risk <= 0.0:
+        raise InvalidParameterError("a_risk must be positive")
     points, batch = _as_points(x)
-    rounds = _rounds_for_eps(payoff, a_risk, sigma, eps)
-    _, ys = _sup_convolve_batch(payoff, a_risk, sigma, points, rounds=rounds)
+    _, ys = _sup_convolve_batch(payoff, a_risk, sigma, points)
     return ys if batch else ys[0]
-
-
-def _rounds_for_eps(payoff: Payoff, a_risk: float, sigma: SpdMatrix, eps: float) -> int:
-    # basket calls and ridge payoffs never reach the search, so their rounds are never read
-    radius = _search_radius(payoff, a_risk, sigma)
-    if radius == 0.0:
-        return SEARCH_ROUNDS
-    # objective is Lipschitz in y with constant at most slope_bound near the
-    # ball; one grid spacing of resolution error per round
-    slope_bound = payoff.lipschitz_constant + radius / (math.sqrt(a_risk) * sigma.min_eig)
-    rounds = SEARCH_ROUNDS
-    spacing = 2.0 * radius / (SEARCH_GRID_POINTS - 1)
-    while slope_bound * spacing * SEARCH_SHRINK**rounds > eps and rounds < 12:
-        rounds += 1
-    return rounds

@@ -1,17 +1,16 @@
-"""Pricing of the inflated claim by Gaussian quadrature, its gradient and
-heat-equation residual, and the scaling-limit values.
+"""Pricing of the inflated claim, its gradient and heat-equation residual,
+the scaling-limit values, and the quadrature rules the dual integrates on.
 
 The claim price is
 
     u(t, x) = E[ g(x + W_{T-t} sigma) ],
 
-with g the inflated payoff from :mod:`bachimpact.market`.  Basket calls
-dispatch to the normal-model closed form; a ridge payoff, whose g is
-piecewise linear in r = <a, x> + b, to g plus one out-of-the-money
-Bachelier option per knot of g, in any d; everything else integrates g over
-a deterministic rule for N(0, I_d) abscissae.  For s the basket direction's
-vol, m the moneyness of the inflated strike, the closed form is the usual
-arithmetic-model pair
+with g the inflated payoff from :mod:`bachimpact.market`.  Both payoff kinds
+are priced in closed form in any d: basket calls by the normal-model formula,
+and a ridge payoff, whose g is piecewise linear in r = <a, x> + b, as g plus
+one out-of-the-money Bachelier option per knot of g.  For s the basket
+direction's vol, m the moneyness of the inflated strike, the basket call's
+closed form is the usual arithmetic-model pair
 
     u = s * (m * Phi(m) + phi(m)),        delta = a * Phi(m).
 
@@ -36,24 +35,17 @@ from .errors import (
 )
 from .linalg import quad_form, row_vec_mul
 from .market import (
-    NODE_BUDGET,
     BachelierModel,
     BasketCall,
     Payoff,
-    RidgePayoff,
     _as_points,
     _ridge_hull,
-    _search_candidates,
-    _search_radius,
-    _sup_convolve_batch,
-    antithetic_normals,
     inflated_strike,
     sup_convolve,
 )
 
-# fallback Monte Carlo settings for d >= 4 (antithetic, fixed substream)
-MC_FALLBACK_SAMPLES = 500_000
-MC_FALLBACK_KEY = 0x9E3779B9
+# largest tensor quadrature rule, in nodes
+NODE_BUDGET = 1_000_000
 # a pde_residual whose finite-difference rounding bound exceeds this is refused
 PDE_ROUNDING = 1e-3
 
@@ -152,7 +144,7 @@ def _coarse_rule(tag: tuple) -> QuadratureRule:
 
 @lru_cache(maxsize=8)
 def default_quadrature(d: int) -> Optional[QuadratureRule]:
-    """Per-dimension default rules; None selects the Monte Carlo fallback."""
+    """Per-dimension default rules; None from d = 4, where the dual samples instead."""
     if d == 1:
         return build_normal_panel(800, 16, 1)
     if d == 2:
@@ -171,39 +163,6 @@ def _basket_price(a_risk, model, payoff, t, x) -> np.ndarray:
         return np.maximum(intrinsic, 0.0)
     m = intrinsic / scale
     return scale * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
-
-
-@lru_cache(maxsize=2)
-def _fallback_sample(d: int) -> np.ndarray:
-    """The d >= 4 antithetic Monte Carlo sample, drawn once per dimension."""
-    z = antithetic_normals((MC_FALLBACK_KEY, d), MC_FALLBACK_SAMPLES, d)
-    z.flags.writeable = False
-    return z
-
-
-def _quadrature_price(a_risk, model, payoff, t, x, rule=None) -> np.ndarray:
-    """Price at (m, d) spots by integrating g over ``rule``, for any payoff.
-
-    ``rule`` None takes the per-dimension default, and from d = 4 an
-    antithetic Monte Carlo sample on a fixed substream; a generic payoff's g
-    is the grid search at every node, and one whose search is over budget is
-    refused before anything is drawn.
-    """
-    if not isinstance(payoff, BasketCall) and _search_radius(payoff, a_risk, model.sigma) > 0.0:
-        _search_candidates(model.d)
-    if rule is None:
-        rule = default_quadrature(model.d)
-    if rule is None:
-        z = _fallback_sample(model.d)
-        weights = np.full(len(z), 1.0 / len(z))
-    else:
-        z, weights = rule.nodes, rule.weights
-    offsets = math.sqrt(model.T - t) * (z @ model.sigma.entries)
-    out = np.empty(len(x))
-    for i, row in enumerate(x):
-        vals, _ = _sup_convolve_batch(payoff, a_risk, model.sigma, row[None, :] + offsets)
-        out[i] = np.sum(weights * vals)  # fixed order, unlike a threaded BLAS dot
-    return out
 
 
 def _ridge_r(payoff, x) -> np.ndarray:
@@ -235,23 +194,15 @@ def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
     return g + np.sum(np.diff(slopes) * otm, axis=1)
 
 
-def price_u(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    t: float,
-    x,
-    rule: Optional[QuadratureRule] = None,
-):
+def price_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, rule=None):
     """Price of the inflated claim at time t and (shifted) spot x.
 
-    Integrates the inflated payoff over the Gaussian increment to maturity;
-    at t == T this reduces to the inflated payoff itself, exactly.  Basket
-    calls and ridge payoffs use their closed forms in any d and ignore
-    ``rule`` (:func:`_ridge_price` for a ridge payoff); only a generic
-    payoff integrates the grid search over ``rule`` (:func:`_quadrature_price`).
-    ``x`` is one point (d,), giving a float, or a batch (m, d), giving (m,).
+    Integrates the inflated payoff over the Gaussian increment to maturity
+    in closed form (:func:`_ridge_price` for a ridge payoff); at t == T this
+    reduces to the inflated payoff itself, exactly.  ``x`` is one point (d,),
+    giving a float, or a batch (m, d), giving (m,).
     """
+    # rule is unused: kept because bench/test_bench.py passes one positionally
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")
     if t < 0.0 or t > model.T:
@@ -261,46 +212,17 @@ def price_u(
         vals = sup_convolve(payoff, a_risk, model.sigma, points)
     elif isinstance(payoff, BasketCall):
         vals = _basket_price(a_risk, model, payoff, t, points)
-    elif isinstance(payoff, RidgePayoff):
-        vals = _ridge_price(a_risk, model, payoff, t, points)
     else:
-        vals = _quadrature_price(a_risk, model, payoff, t, points, rule)
+        vals = _ridge_price(a_risk, model, payoff, t, points)
     return vals if batch else float(vals[0])
 
 
-def default_fd_step(t: float, x: np.ndarray, T: float) -> float:
-    """Spatial FD step: scale-aware, shrinking near maturity.
-
-    Capped at (T - t)/16 so the near-maturity guard can always be met for
-    t < T (the Gaussian smoothing that keeps the FD well conditioned decays
-    as maturity approaches).
-    """
-    base = 1e-4 * (1.0 + float(np.linalg.norm(x))) * max(math.sqrt(max(T - t, 0.0)), 0.05)
-    return min(base, (T - t) / 16.0) if T > t else base
-
-
-def _fd_delta(a_risk, model, payoff, t, x, rule=None, fd_step=None) -> np.ndarray:
-    """Central finite-difference gradient of :func:`price_u` at one point (d,).
-
-    Gaussian smoothing makes the price C-infinity for t < T, so the FD is
-    well conditioned away from maturity; inside the 10-step guard band it
-    raises.
-    """
-    h = fd_step if fd_step is not None else default_fd_step(t, x, model.T)
-    if t > model.T - 10.0 * h:
-        raise InvalidTimeError(f"t={t} within 10 fd steps of maturity; reduce fd_step")
-    steps = h * np.eye(model.d)
-    vals = price_u(a_risk, model, payoff, t, np.vstack([x + steps, x - steps]), rule)
-    return (vals[: model.d] - vals[model.d :]) / (2.0 * h)
-
-
-def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
+def _closed_form_delta_factory(a_risk, model, payoff):
     """Delta evaluator (t, (m, d) spots) -> (m, d), built once per payoff.
 
     Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
     for ridge payoffs the derivative of :func:`_ridge_price`,
-    a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)), otherwise
-    :func:`_fd_delta` row by row.
+    a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)).
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
@@ -319,44 +241,29 @@ def _closed_form_delta_factory(a_risk, model, payoff, rule=None, fd_step=None):
             return ndtr(m)[:, None] * a[None, :]
 
         return basket_delta
-    if isinstance(payoff, RidgePayoff):
-        slopes, _, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
-        jumps, spread = np.diff(slopes), math.hypot(*a_sig)
+    slopes, _, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
+    jumps, spread = np.diff(slopes), math.hypot(*a_sig)
 
-        def ridge_delta(t, x):
-            m = (_ridge_r(payoff, x)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
-            return (slopes[0] + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
+    def ridge_delta(t, x):
+        m = (_ridge_r(payoff, x)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
+        return (slopes[0] + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
 
-        return ridge_delta
-
-    def fd_delta(t, x):
-        return np.stack([_fd_delta(a_risk, model, payoff, t, row, rule, fd_step) for row in x])
-
-    return fd_delta
+    return ridge_delta
 
 
-def delta_u(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    t: float,
-    x,
-    rule: Optional[QuadratureRule] = None,
-    fd_step: Optional[float] = None,
-) -> np.ndarray:
-    """Spatial gradient of the claim price.
+def delta_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, rule=None):
+    """Spatial gradient of the claim price, exact for t < T.
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
     for basket calls, for ridge payoffs the exact derivative of their price
-    in any d (``rule`` and ``fd_step`` are unused for both), and only for
-    other generic payoffs central finite differences of :func:`price_u` per
-    coordinate (see :func:`_fd_delta`).  ``x`` is one point (d,), giving
-    (d,), or a batch (m, d), giving (m, d).
+    in any d.  ``x`` is one point (d,), giving (d,), or a batch (m, d),
+    giving (m, d).
     """
+    # rule is unused: kept because bench/test_bench.py passes one positionally
     if t >= model.T:
         raise InvalidTimeError("gradient undefined at maturity (payoff kinks)")
     points, batch = _as_points(x)
-    grads = _closed_form_delta_factory(a_risk, model, payoff, rule, fd_step)(t, points)
+    grads = _closed_form_delta_factory(a_risk, model, payoff)(t, points)
     return grads if batch else grads[0]
 
 
@@ -366,7 +273,6 @@ def pde_residual(
     payoff: Payoff,
     t: float,
     x,
-    rule: Optional[QuadratureRule] = None,
     fd_step_t: float = 1e-3,
     fd_step_x: Optional[float] = None,
 ) -> float:
@@ -383,7 +289,7 @@ def pde_residual(
     hx = fd_step_x if fd_step_x is not None else 1e-3 * (1.0 + float(np.linalg.norm(x)))
 
     def u(tt, xx):
-        return price_u(a_risk, model, payoff, tt, xx, rule)
+        return price_u(a_risk, model, payoff, tt, xx)
 
     if t - fd_step_t >= 0.0:
         du_dt = (u(t + fd_step_t, x) - u(t - fd_step_t, x)) / (2.0 * fd_step_t)
@@ -425,7 +331,6 @@ def limit_value(
     model: BachelierModel,
     payoff: Payoff,
     phi0,
-    rule: Optional[QuadratureRule] = None,
 ) -> float:
     """Scaling limit of the certainty equivalent for initial inventory phi0.
 
@@ -433,17 +338,11 @@ def limit_value(
     value of the initial position.
     """
     inventory = 0.5 * math.sqrt(a_risk) * quad_form(phi0, model.sigma.entries)
-    return indifference_limit(a_risk, model, payoff, phi0, rule) + inventory
+    return indifference_limit(a_risk, model, payoff, phi0) + inventory
 
 
-def indifference_limit(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    phi0,
-    rule: Optional[QuadratureRule] = None,
-) -> float:
+def indifference_limit(a_risk: float, model: BachelierModel, payoff: Payoff, phi0) -> float:
     """Scaling limit of the indifference price: the claim-price term alone."""
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     shifted = model.s0 - math.sqrt(a_risk) * row_vec_mul(phi0, model.sigma.entries)
-    return price_u(a_risk, model, payoff, 0.0, shifted, rule)
+    return price_u(a_risk, model, payoff, 0.0, shifted)

@@ -20,9 +20,9 @@ from bachimpact import (
     limit_value,
     make_spd,
     optimal_dual_Y,
-    zero_payoff,
 )
 from bachimpact.asymptotics import LAM_DESK_FLOOR
+from oracle import zero_claim
 
 
 class _Zero:
@@ -53,7 +53,7 @@ class TestCertaintyEquivalent:
     def test_zero_payoff_exact_zero(self, atm_model):
         grid = TimeGrid(n_steps=64, T=1.0)
         est = certainty_equivalent_mc(
-            1.0, 0.2, atm_model, zero_payoff(), [0.0], 500, grid, 42
+            1.0, 0.2, atm_model, zero_claim(), [0.0], 500, grid, 42
         )
         assert est.value == 0.0
         assert est.std_error == 0.0
@@ -88,7 +88,7 @@ class TestCertaintyEquivalent:
         # pure inventory decay: certainty equivalent approaches the quadratic
         # carrying value sqrt(A) phi0^2 / 2 as the impact vanishes
         grid = TimeGrid(n_steps=1000, T=1.0)
-        est = certainty_equivalent_mc(1.0, 0.05, atm_model, zero_payoff(), [1.0], 4000, grid, 13)
+        est = certainty_equivalent_mc(1.0, 0.05, atm_model, zero_claim(), [1.0], 4000, grid, 13)
         assert est.value == pytest.approx(0.5, abs=3.0 * est.std_error + 0.02)
 
 
@@ -102,10 +102,10 @@ class TestDualLowerBound:
     def test_constant_selector_pure_penalty(self, atm_model):
         for y in (0.5, -1.0):
             spec = DualSpec(h=_Constant([y]), bounded=True, bound=abs(y), name="const")
-            value, _ = dual_lower_bound(1.0, atm_model, zero_payoff(), [0.0], spec)
+            value, _ = dual_lower_bound(1.0, atm_model, zero_claim(), [0.0], spec)
             assert value == pytest.approx(-(y**2) / 2.0, abs=1e-12)
         spec0 = DualSpec(h=_Constant([0.0]), bounded=True, bound=0.0, name="const0")
-        value0, _ = dual_lower_bound(1.0, atm_model, zero_payoff(), [0.0], spec0)
+        value0, _ = dual_lower_bound(1.0, atm_model, zero_claim(), [0.0], spec0)
         assert value0 == 0.0
 
     def test_optimal_selector_attains_limit(self, atm_model, atm_call):
@@ -163,7 +163,7 @@ class TestDualLowerBound:
 
 class TestOptimalSelector:
     def test_zero_payoff_zero_selector(self, atm_model):
-        spec = optimal_dual_Y(1.0, atm_model, zero_payoff(), [0.0])
+        spec = optimal_dual_Y(1.0, atm_model, zero_claim(), [0.0])
         w = np.linspace(-2.0, 2.0, 5)[:, None]
         assert np.array_equal(spec.displacements(w), np.zeros((5, 1)))
 

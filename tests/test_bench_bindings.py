@@ -2,7 +2,7 @@
 
 ``bench/spans.py`` wraps functions it looks up by module and name, and
 silently drops every per-layer metric whose boundary is gone or whose counter
-no longer fits the call.  A refactor that moves or unbinds one of them still
+no longer fits the call (or reads a module constant that is gone).  A refactor that moves or unbinds one of them still
 lets traced runs exit 0, with fewer metrics.  These tests load the tracer
 read-only and fail instead.
 """
@@ -14,9 +14,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bachimpact import BasketCall
+from bachimpact.config import GENERIC_PAYOFFS
 
 ROOT = Path(__file__).resolve().parent.parent
 # the modules bench/worker.py hands to the tracer (its PACKAGE_MODULES)
@@ -79,6 +81,7 @@ def test_traced_round_emits_every_layer_metric(spans, modules, tmp_path, atm_mod
     cfg = tmp_path / "converge.cfg"
     cfg.write_text(CONVERGE_CFG)
     call = BasketCall(a=[1.0], b=-8.0)
+    strad = GENERIC_PAYOFFS["straddle"](np.array([1.0]), -8.0)
     tracer = spans.Tracer()
     tracer.install(modules, spans.boundaries(modules))
     try:
@@ -88,6 +91,11 @@ def test_traced_round_emits_every_layer_metric(spans, modules, tmp_path, atm_mod
         # through the module, whose binding the tracer replaced
         modules["pricing"].price_u(1.0, atm_model, call, 0.5, [8.0])
         modules["pricing"].delta_u(1.0, atm_model, call, 0.5, [8.0])
+        # a ridge payoff's inflation: the supconv counter reads market's
+        # SEARCH_* constants for it, which nothing else in the package uses
+        modules["market"].sup_convolve(strad, 1.0, atm_model.sigma, [[7.5], [8.5]])
+        spec = modules["asymptotics"].optimal_dual_Y(1.0, atm_model, strad, [0.0])
+        modules["asymptotics"].dual_lower_bound(1.0, atm_model, strad, [0.0], spec)
     finally:
         tracer.uninstall()
     assert code == 0
@@ -98,3 +106,6 @@ def test_traced_round_emits_every_layer_metric(spans, modules, tmp_path, atm_mod
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert not bad
     assert metrics["hedging.draws_per_path_step"] > 0.0
+    supconv = {k for k in metrics if k.startswith("market.supconv.")}
+    assert supconv == {f"market.supconv.{k}" for k in ("points", "us_per_point", "candidates_per_point")}
+    assert metrics["market.supconv.points"] > 0.0

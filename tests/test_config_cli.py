@@ -86,6 +86,14 @@ class TestConfigParsing:
         assert emit_config(values2) == emitted
         assert config_hash(values) == config_hash(values2)
 
+    @pytest.mark.parametrize("line", ["dual.eps = 1e-9", "numerics.fd_step = 1e-4"])
+    def test_retired_keys_rejected(self, line, tmp_path, capsys):
+        # the grid search's tolerance and the finite-difference step went with them
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(MINIMAL + line + "\n")
+        assert run_cli(["price", "--config", cfg]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
     def test_generic_payoff_registry(self):
         text = MINIMAL.replace(
             "payoff.kind = basket_call", "payoff.kind = generic\npayoff.name = straddle"
@@ -144,6 +152,22 @@ class TestCli:
             assert abs(u_val - call_oracle(m)) < 1e-9
             assert abs(delta - norm.cdf(m)) < 1e-9
             assert abs(res) < 1e-3
+
+    @pytest.mark.parametrize("t", [0.995, 0.9995])
+    def test_price_near_maturity(self, t, tmp_path, reference):
+        # the delta is exact up to maturity; only the residual's time
+        # difference needs room, and is marked nan where it has none
+        cfg, out = tmp_path / "near.cfg", tmp_path / "near.csv"
+        text = (CONFIG_DIR / "figure1.cfg").read_text()
+        cfg.write_text(text + f"price.t = {t!r}\noutput.precision = 17\n")
+        assert run_cli(["price", "--config", cfg, "--out", out]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        a_risk, t_out, x, u_val, delta, res = map(float, rows[1].split(","))
+        want_price, want_delta = reference.basket_call(a_risk, [1.0], -8.0, [[1.0]], 1.0, t, [x])
+        assert t_out == t
+        assert u_val == pytest.approx(want_price, rel=1e-12)
+        assert delta == pytest.approx(want_delta[0], rel=1e-12, abs=1e-12)
+        assert math.isnan(res)
 
     def test_converge_csv_and_headers(self, tmp_path):
         out = tmp_path / "converge.csv"

@@ -22,11 +22,11 @@ from bachimpact import (
     supermartingale_check_mc,
     wealth,
     wealth_by_parts,
-    zero_payoff,
 )
 from bachimpact import hedging
 from bachimpact.market import inflated_strike, substream
 from bachimpact.pricing import limit_value
+from oracle import zero_claim
 
 
 class TestStepScaling:
@@ -53,7 +53,7 @@ def _shifted_delta(a_risk, model, payoff, t, s_t, phi_t):
 
 class TestTrackingTarget:
     def test_zero_payoff(self, atm_model):
-        theta = _shifted_delta(1.0, atm_model, zero_payoff(), 0.3, [8.0], [0.5])
+        theta = _shifted_delta(1.0, atm_model, zero_claim(), 0.3, [8.0], [0.5])
         assert np.array_equal(theta, [0.0])
 
     def test_saturated(self, atm_model):
@@ -75,7 +75,7 @@ class TestTrackingTarget:
 def zero_hedge_prices(model, grid, n_paths, seed):
     """(n_paths, n+1, d) Bachelier prices recorded by the engine."""
     return hedge_paths(
-        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+        1.0, 0.2, model, zero_claim(model.d), np.zeros(model.d), grid, n_paths, seed
     ).prices
 
 
@@ -91,7 +91,7 @@ class TestIntegrateStrategy:
 
     def test_zero_payoff_pure_decay(self, atm_model):
         grid = TimeGrid(n_steps=128, T=1.0)
-        rec = hedge_paths(1.0, 0.25, atm_model, zero_payoff(), [1.0], grid, 1, 2)
+        rec = hedge_paths(1.0, 0.25, atm_model, zero_claim(), [1.0], grid, 1, 2)
         expected = np.exp(-4.0 * grid.knots)
         assert np.abs(rec.positions[0, :, 0] - expected).max() < 1e-12
         oracle = duhamel_solution(1.0, 0.25, atm_model, np.zeros((128, 1)), [1.0], grid)
@@ -210,7 +210,7 @@ class TestBoundCheck:
 
     def test_zero_everything(self, atm_model):
         grid = TimeGrid(n_steps=16, T=1.0)
-        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 3, 15)
+        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_claim(), [0.0], grid, 3, 15)
         assert batch.sup_position_norm.max() == 0.0
 
     def test_unit_call_uniform_in_impact(self, atm_model, atm_call):
@@ -222,7 +222,7 @@ class TestBoundCheck:
 
     def test_decay_from_large_inventory(self, atm_model):
         grid = TimeGrid(n_steps=64, T=1.0)
-        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_payoff(), [5.0], grid, 1, 17)
+        batch = run_hedge_batch(1.0, 0.2, atm_model, zero_claim(), [5.0], grid, 1, 17)
         assert batch.sup_position_norm[0] == pytest.approx(5.0)
 
 
@@ -230,7 +230,7 @@ class TestSupermartingale:
     def test_zero_case_identically_zero(self, atm_model):
         # the zero claim's hedge never trades from phi0 = 0: every ratio is 1
         grid = TimeGrid(n_steps=32, T=1.0)
-        checked = supermartingale_check_mc(1.0, 0.2, atm_model, zero_payoff(), [0.0], grid, 2, 18)
+        checked = supermartingale_check_mc(1.0, 0.2, atm_model, zero_claim(), [0.0], grid, 2, 18)
         assert checked == (1.0, 0.0)
 
     def test_initial_value_is_scaled_limit(self, atm_model, atm_call):
@@ -484,7 +484,7 @@ class TestMatrixReference:
         # |phi| < 1.5e-154: phi*phi underflows, so sqrt(phi*phi) != |phi|
         model = BachelierModel(s0=[8.0], mu=[0.0], sigma=sigma1, T=1.0)
         grid = TimeGrid(n_steps=4, T=1.0)
-        batch = run_hedge_batch(1.0, 0.4, model, zero_payoff(), [1e-160], grid, 3, 1)
+        batch = run_hedge_batch(1.0, 0.4, model, zero_claim(), [1e-160], grid, 3, 1)
         assert np.array_equal(batch.sup_position_norm, np.full(3, np.linalg.norm([1e-160])))
         assert batch.sup_position_norm[0] != 1e-160
 

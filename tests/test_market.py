@@ -9,7 +9,6 @@ from bachimpact import (
     BasketCall,
     BudgetExceededError,
     DimensionMismatchError,
-    GenericLipschitz,
     InvalidParameterError,
     TimeGrid,
     brownian_increments,
@@ -18,10 +17,10 @@ from bachimpact import (
     run_hedge_batch,
     sup_convolve,
     sup_convolve_argmax,
-    zero_payoff,
 )
 from bachimpact.config import GENERIC_PAYOFFS
-from bachimpact.market import _sup_convolve_batch, antithetic_normals, substream
+from bachimpact.market import antithetic_normals, substream
+from oracle import GenericLipschitz, search, search_argmax, zero_claim
 
 
 class TestTypes:
@@ -32,6 +31,7 @@ class TestTypes:
             BachelierModel(s0=[1.0], mu=[0.0], sigma=sigma1, T=0.0)
 
     def test_negative_lipschitz_rejected(self):
+        # the search oracle's payoff: its radius needs a genuine constant
         with pytest.raises(InvalidParameterError):
             GenericLipschitz(fn=lambda x: x.sum(axis=-1), lipschitz_constant=-1.0)
 
@@ -57,6 +57,14 @@ class TestTypes:
                     copy.a[0] = 0.0
         assert weights.flags.writeable
 
+    def test_payoffs_compare_and_hash_in_two_dims(self):
+        # identity semantics: comparing the array fields would raise in d >= 2
+        for payoff in (BasketCall(a=[3.0, 4.0], b=0.0), GENERIC_PAYOFFS["straddle"](np.ones(2), 0.0)):
+            copy = pickle.loads(pickle.dumps(payoff))
+            assert payoff == payoff
+            assert (payoff == copy) is False
+            assert {payoff: 1, copy: 2}[payoff] == 1
+
 
 class TestPayoffEval:
     def test_itm(self):
@@ -71,10 +79,8 @@ class TestPayoffEval:
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(1)
         call = BasketCall(a=[1.0, -2.0], b=0.5)
-        straddle = GenericLipschitz(
-            fn=lambda x: np.abs(x @ np.array([1.0, -2.0]) + 0.5),
-            lipschitz_constant=math.sqrt(5.0),
-        )
+        straddle = GENERIC_PAYOFFS["straddle"](np.array([1.0, -2.0]), 0.5)
+        assert straddle.lipschitz_constant == pytest.approx(math.sqrt(5.0))
         for payoff in (call, straddle):
             lip = payoff.lipschitz_constant
             x = rng.normal(size=(64, 2))
@@ -87,13 +93,13 @@ def terminal_prices(model, n_paths, seed):
     """Terminal prices of one-step paths from the hedge engine (zero claim)."""
     grid = TimeGrid(n_steps=1, T=model.T)
     return run_hedge_batch(
-        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+        1.0, 0.2, model, zero_claim(model.d), np.zeros(model.d), grid, n_paths, seed
     ).s_terminal
 
 
 def recorded_prices(model, grid, n_paths, seed):
     return hedge_paths(
-        1.0, 0.2, model, zero_payoff(), np.zeros(model.d), grid, n_paths, seed
+        1.0, 0.2, model, zero_claim(model.d), np.zeros(model.d), grid, n_paths, seed
     ).prices
 
 
@@ -173,8 +179,8 @@ class TestSupConvolve:
 
     def test_zero_payoff(self, sigma1):
         for x in ([0.0], [4.0], [-3.0]):
-            assert sup_convolve(zero_payoff(), 1.0, sigma1, x) == 0.0
-            assert sup_convolve(zero_payoff(), 9.0, sigma1, x) == 0.0
+            assert sup_convolve(zero_claim(), 1.0, sigma1, x) == 0.0
+            assert sup_convolve(zero_claim(), 9.0, sigma1, x) == 0.0
 
     def test_invalid_inflation(self, sigma1):
         with pytest.raises(InvalidParameterError):
@@ -185,16 +191,13 @@ class TestSupConvolve:
         wrapped = GenericLipschitz(
             fn=lambda x: np.maximum(x[..., 0] - 8.0, 0.0), lipschitz_constant=1.0
         )
-        for x in np.linspace(5.0, 11.0, 25):
-            closed = sup_convolve(call, 1.0, sigma1, [x])
-            searched = sup_convolve(wrapped, 1.0, sigma1, [x])
-            assert abs(closed - searched) < 1e-4
+        xs = np.linspace(5.0, 11.0, 25)[:, None]
+        searched, _ = search(wrapped, 1.0, sigma1, xs)
+        assert np.abs(sup_convolve(call, 1.0, sigma1, xs) - searched).max() < 1e-4
 
     def test_dominates_payoff_and_monotone(self, sigma2):
         rng = np.random.default_rng(21)
-        payoff = GenericLipschitz(
-            fn=lambda x: np.abs(x[..., 0] - 0.5 * x[..., 1]), lipschitz_constant=1.2
-        )
+        payoff = GENERIC_PAYOFFS["straddle"](np.array([1.0, -0.5]), 0.0)
         for _ in range(20):
             x = rng.normal(0.0, 3.0, size=2)
             a_lo, a_hi = sorted(rng.uniform(0.2, 4.0, size=2))
@@ -228,22 +231,23 @@ class TestSupConvolve:
             assert np.array_equal(ys, [sup_convolve_argmax(call, 1.5, sigma, x) for x in xs])
 
     def test_generic_three_dim_bounded_block(self):
-        # 41^3 candidates per point: the row block shrinks instead of
-        # allocating gigabytes, and the values stay finite and >= f
+        # the search oracle at 41^3 candidates per point: the row block
+        # shrinks instead of allocating gigabytes, and the values stay finite and >= f
         sigma = make_spd([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.9]])
         payoff = GenericLipschitz(
             fn=lambda x: np.abs(x @ np.array([0.5, 0.3, 0.2]) - 1.0), lipschitz_constant=0.62
         )
         xs = np.random.default_rng(35).normal(1.0, 1.0, size=(60, 3))
-        vals = sup_convolve(payoff, 1.0, sigma, xs)
+        vals, _ = search(payoff, 1.0, sigma, xs)
         assert vals.shape == (60,)
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= payoff.evaluate(xs) - 1e-12)
 
     def test_generic_four_dim_refused(self):
+        # the search oracle refuses a 41^4 grid before allocating its block
         payoff = GenericLipschitz(fn=lambda x: np.abs(x.sum(axis=-1)), lipschitz_constant=2.0)
         with pytest.raises(BudgetExceededError):
-            _sup_convolve_batch(payoff, 1.0, make_spd(np.eye(4)), np.zeros((2, 4)))
+            search(payoff, 1.0, make_spd(np.eye(4)), np.zeros((2, 4)))
 
 
 class TestArgmax:
@@ -253,7 +257,7 @@ class TestArgmax:
         assert y[0] == pytest.approx(1.0)
 
     def test_zero_payoff_stays_home(self, sigma1):
-        assert np.array_equal(sup_convolve_argmax(zero_payoff(), 1.0, sigma1, [3.0]), [0.0])
+        assert np.array_equal(sup_convolve_argmax(zero_claim(), 1.0, sigma1, [3.0]), [0.0])
 
     def test_basket_otm_returns_zero(self, sigma1):
         call = BasketCall(a=[1.0], b=-8.0)
@@ -266,12 +270,14 @@ class TestArgmax:
         assert np.allclose(y, [2.0, 0.0])
 
     def test_generic_achieves_optimum(self, sigma1):
+        # the search oracle's displacement attains the exact value within eps
         payoff = GenericLipschitz(fn=lambda x: np.abs(x[..., 0] - 8.0), lipschitz_constant=1.0)
+        exact = GENERIC_PAYOFFS["straddle"](np.array([1.0]), -8.0)
         rng = np.random.default_rng(55)
         eps = 1e-6
         for _ in range(10):
             x = np.array([rng.normal(8.0, 2.0)])
-            g_val = sup_convolve(payoff, 1.0, sigma1, x)
-            y = sup_convolve_argmax(payoff, 1.0, sigma1, x, eps=eps)
+            g_val = sup_convolve(exact, 1.0, sigma1, x)
+            y = search_argmax(payoff, 1.0, sigma1, x, eps)[0]
             attained = float(payoff.evaluate(x + y)) - float(y @ y) / 2.0
             assert attained >= g_val - eps

@@ -6,7 +6,6 @@ from bachimpact import (
     BachelierModel,
     BasketCall,
     BudgetExceededError,
-    GenericLipschitz,
     InvalidTimeError,
     build_gauss_hermite,
     build_normal_panel,
@@ -17,14 +16,10 @@ from bachimpact import (
     pde_residual,
     price_u,
     sup_convolve,
-    zero_payoff,
 )
-from bachimpact.pricing import _fd_delta, _quadrature_price, coarsen_rule, default_quadrature
-
-
-def quadrature_price(a_risk, model, payoff, t, x, rule=None):
-    """The quadrature pricer at one point, whatever the payoff's kind."""
-    return float(_quadrature_price(a_risk, model, payoff, t, np.atleast_2d(x), rule)[0])
+from bachimpact.config import GENERIC_PAYOFFS
+from bachimpact.pricing import coarsen_rule, default_quadrature
+from oracle import GenericLipschitz, fd_delta, quadrature_price, zero_claim
 
 
 def basket_batches(atm_model, atm_call, model2, seed):
@@ -34,13 +29,6 @@ def basket_batches(atm_model, atm_call, model2, seed):
         (atm_model, atm_call, rng.normal(8.0, 1.5, size=(9, 1))),
         (model2, BasketCall(a=[1.0, 0.5], b=-11.0), rng.normal([8.0, 6.0], 1.5, size=(9, 2))),
     ]
-
-
-def straddle(a, b):
-    a = np.asarray(a, dtype=float)
-    return GenericLipschitz(
-        fn=lambda x: np.abs(x @ a + b), lipschitz_constant=float(np.linalg.norm(a))
-    )
 
 
 class TestGaussHermite:
@@ -110,9 +98,9 @@ class TestPriceU:
         val = price_u(1e-12, atm_model, atm_call, 0.0, [8.0])
         assert val == pytest.approx(norm.pdf(0.0), abs=1e-6)
 
-    def test_zero_payoff(self, atm_model, rule1):
+    def test_zero_payoff(self, atm_model):
         for t in (0.0, 0.5, 1.0):
-            assert price_u(1.0, atm_model, zero_payoff(), t, [8.0], rule1) == 0.0
+            assert price_u(1.0, atm_model, zero_claim(), t, [8.0]) == 0.0
 
     def test_maturity_equals_inflated_payoff(self, atm_model, atm_call, sigma1):
         for x in (6.0, 7.9, 8.0, 9.5):
@@ -127,11 +115,12 @@ class TestPriceU:
             assert abs(quad_val - closed) < 1e-5
 
     def test_generic_wrapper_matches_closed_form(self, atm_model, atm_call, rule1):
+        # the search oracle at every node of the rule
         wrapped = GenericLipschitz(
             fn=lambda x: np.maximum(x[..., 0] - 8.0, 0.0), lipschitz_constant=1.0
         )
         for x in (7.5, 8.0, 8.5):
-            quad_val = price_u(1.0, atm_model, wrapped, 0.0, [x], rule1)
+            quad_val = quadrature_price(1.0, atm_model, wrapped, 0.0, [x], rule1)
             closed = price_u(1.0, atm_model, atm_call, 0.0, [x])
             assert abs(quad_val - closed) < 1e-4
 
@@ -147,11 +136,11 @@ class TestPriceU:
     def test_doubling_rule_stable_for_basket(self, atm_model, atm_call):
         base = build_normal_panel(400, 16, 1)
         fine = build_normal_panel(800, 16, 1)
-        # dispatching price is closed form: rule size cannot matter
+        # price is closed form: a passed rule is ignored, so its size cannot matter
         v1 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], base)
         v2 = price_u(1.0, atm_model, atm_call, 0.0, [8.0], fine)
         assert v1 == v2
-        # the quadrature pricer converges below 1e-6 per refinement
+        # the quadrature oracle converges below 1e-6 per refinement
         q1 = quadrature_price(1.0, atm_model, atm_call, 0.0, [8.0], base)
         q2 = quadrature_price(1.0, atm_model, atm_call, 0.0, [8.0], fine)
         assert abs(q1 - q2) < 1e-6
@@ -160,41 +149,6 @@ class TestPriceU:
         with pytest.raises(InvalidTimeError):
             price_u(1.0, atm_model, atm_call, 1.5, [8.0])
 
-    def test_mc_fallback_dimension_four(self):
-        sigma = make_spd(np.eye(4))
-        model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
-        call = BasketCall(a=[0.5, 0.5, 0.5, 0.5], b=-2.0)
-        closed = price_u(1.0, model, call, 0.0, model.s0)
-        mc = quadrature_price(1.0, model, call, 0.0, model.s0, None)
-        assert abs(mc - closed) < 5e-3
-
-    def test_generic_dimension_four_over_budget(self):
-        # the 41^4-candidate search grid exceeds the node budget: refused
-        # before the candidate block is allocated
-        sigma = make_spd(np.eye(4))
-        model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
-        with pytest.raises(BudgetExceededError):
-            price_u(1.0, model, straddle([0.5] * 4, -2.0), 0.3, model.s0)
-
-    def test_generic_over_budget_refused_before_drawing(self, monkeypatch):
-        # the refusal comes before the 10^6-row fallback sample is drawn
-        from bachimpact import pricing
-
-        drawn = []
-        monkeypatch.setattr(pricing, "antithetic_normals", lambda *a: drawn.append(a))
-        pricing._fallback_sample.cache_clear()
-        sigma = make_spd(np.eye(4))
-        model = BachelierModel(s0=[1.0] * 4, mu=[0.0] * 4, sigma=sigma, T=1.0)
-        with pytest.raises(BudgetExceededError):
-            quadrature_price(1.0, model, straddle([0.5] * 4, -2.0), 0.3, model.s0)
-        assert drawn == []
-
-    def test_fallback_sample_drawn_once_per_dimension(self):
-        from bachimpact import pricing
-
-        assert pricing._fallback_sample(4) is pricing._fallback_sample(4)
-        assert not pricing._fallback_sample(4).flags.writeable
-
     def test_basket_batch_equals_rows(self, atm_model, atm_call, model2):
         for model, call, xs in basket_batches(atm_model, atm_call, model2, 8):
             for t in (0.0, 0.4, 1.0):
@@ -202,11 +156,11 @@ class TestPriceU:
                 assert batch.shape == (len(xs),)
                 assert np.array_equal(batch, [price_u(1.3, model, call, t, x) for x in xs])
 
-    def test_generic_batch_equals_rows(self, atm_model, rule1):
-        payoff = straddle([1.0], -8.0)
+    def test_generic_batch_equals_rows(self, atm_model):
+        payoff = GENERIC_PAYOFFS["straddle"](np.array([1.0]), -8.0)
         xs = np.array([[7.2], [8.0], [9.1]])
-        batch = price_u(1.0, atm_model, payoff, 0.2, xs, rule1)
-        assert np.array_equal(batch, [price_u(1.0, atm_model, payoff, 0.2, x, rule1) for x in xs])
+        batch = price_u(1.0, atm_model, payoff, 0.2, xs)
+        assert np.array_equal(batch, [price_u(1.0, atm_model, payoff, 0.2, x) for x in xs])
 
 
 class TestDeltaU:
@@ -221,14 +175,14 @@ class TestDeltaU:
 
     def test_fd_matches_closed_form(self, atm_model, atm_call):
         for x in np.linspace(6.5, 9.5, 7):
-            fd = _fd_delta(1.0, atm_model, atm_call, 0.0, np.array([x]), fd_step=1e-4)
+            fd = fd_delta(1.0, atm_model, atm_call, 0.0, np.array([x]), 1e-4)
             closed = delta_u(1.0, atm_model, atm_call, 0.0, [x])
             assert abs(fd[0] - closed[0]) < 1e-6
 
     def test_fd_matches_closed_form_2d(self, model2):
         call = BasketCall(a=[1.0, 0.5], b=-10.0)
         x = np.array([8.2, 6.1])
-        fd = _fd_delta(2.0, model2, call, 0.2, x, fd_step=1e-4)
+        fd = fd_delta(2.0, model2, call, 0.2, x, 1e-4)
         closed = delta_u(2.0, model2, call, 0.2, x)
         assert np.abs(fd - closed).max() < 1e-6
 
@@ -240,25 +194,24 @@ class TestDeltaU:
 
     def test_zero_lipschitz_claim_has_zero_delta(self, model2):
         xs = np.array([[8.0, 6.0], [1.0, -3.0]])
-        assert np.array_equal(delta_u(1.0, model2, zero_payoff(), 0.5, xs), np.zeros((2, 2)))
-        assert np.array_equal(delta_u(1.0, model2, zero_payoff(), 0.5, xs[0]), [0.0, 0.0])
+        assert np.array_equal(delta_u(1.0, model2, zero_claim(2), 0.5, xs), np.zeros((2, 2)))
+        assert np.array_equal(delta_u(1.0, model2, zero_claim(2), 0.5, xs[0]), [0.0, 0.0])
 
     def test_maturity_guard(self, atm_model, atm_call):
-        with pytest.raises(InvalidTimeError):
-            delta_u(1.0, atm_model, atm_call, 1.0, [8.0])
-        wrapped = GenericLipschitz(
-            fn=lambda x: np.maximum(x[..., 0] - 8.0, 0.0), lipschitz_constant=1.0
-        )
-        with pytest.raises(InvalidTimeError):
-            delta_u(1.0, atm_model, wrapped, 0.9999, [8.0], fd_step=0.01)
+        strad = GENERIC_PAYOFFS["straddle"](np.array([1.0]), -8.0)
+        for payoff in (atm_call, strad):
+            with pytest.raises(InvalidTimeError):
+                delta_u(1.0, atm_model, payoff, 1.0, [8.0])
+            # exact up to maturity: no finite-difference guard band
+            assert np.isfinite(delta_u(1.0, atm_model, payoff, 0.9999, [8.0])).all()
 
 
 class TestPdeResidual:
     def test_basket_interior(self, atm_model, atm_call):
         assert abs(pde_residual(1.0, atm_model, atm_call, 0.5, [8.0])) <= 1e-3
 
-    def test_zero_payoff_exact(self, atm_model, rule1):
-        assert pde_residual(1.0, atm_model, zero_payoff(), 0.5, [8.0], rule1) == 0.0
+    def test_zero_payoff_exact(self, atm_model):
+        assert pde_residual(1.0, atm_model, zero_claim(), 0.5, [8.0]) == 0.0
 
     def test_two_dim_random_interior(self):
         sigma = make_spd([[1.0, 0.0], [0.0, 2.0]])
@@ -277,7 +230,7 @@ class TestPdeResidual:
 
 class TestLimitValues:
     def test_zero_payoff_quadratic_term(self, atm_model):
-        assert limit_value(1.0, atm_model, zero_payoff(), [2.0]) == pytest.approx(2.0)
+        assert limit_value(1.0, atm_model, zero_claim(), [2.0]) == pytest.approx(2.0)
 
     def test_atm_zero_inventory(self, atm_model, atm_call, call_oracle):
         assert limit_value(1.0, atm_model, atm_call, [0.0]) == pytest.approx(
@@ -285,7 +238,7 @@ class TestLimitValues:
         )
 
     def test_zero_everything(self, atm_model):
-        assert limit_value(1.0, atm_model, zero_payoff(), [0.0]) == 0.0
+        assert limit_value(1.0, atm_model, zero_claim(), [0.0]) == 0.0
 
     def test_indifference_equals_limit_at_zero_inventory(self, atm_model, atm_call):
         assert indifference_limit(1.0, atm_model, atm_call, [0.0]) == limit_value(
@@ -294,7 +247,7 @@ class TestLimitValues:
 
     def test_indifference_zero_payoff(self, atm_model):
         for phi0 in ([0.0], [3.0]):
-            assert indifference_limit(1.0, atm_model, zero_payoff(), phi0) == 0.0
+            assert indifference_limit(1.0, atm_model, zero_claim(), phi0) == 0.0
 
     def test_inflated_strike_oracle(self, atm_model, atm_call, call_oracle):
         assert indifference_limit(4.0, atm_model, atm_call, [0.0]) == pytest.approx(
@@ -308,7 +261,7 @@ class TestLimitValues:
     def test_difference_identity(self, atm_model, atm_call):
         for phi0 in ([0.0], [1.5], [-2.0]):
             lhs = limit_value(1.0, atm_model, atm_call, phi0) - limit_value(
-                1.0, atm_model, zero_payoff(), phi0
+                1.0, atm_model, zero_claim(), phi0
             )
             rhs = indifference_limit(1.0, atm_model, atm_call, phi0)
             assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -1,7 +1,7 @@
 """Ridge payoffs h(<a, x> + b) of a convex profile h(y) = max_i(s_i y + beta_i).
 
-The d-dimensional grid search on an equivalent ``GenericLipschitz`` is the
-oracle for the inflation transform; the closed forms of bench/reference.py
+The d-dimensional grid search of ``oracle.py`` on an equivalent Lipschitz
+payoff is the oracle for the inflation transform; the closed forms of bench/reference.py
 (basket call and straddle, and sums of them for the put and the strangle)
 are the oracle for price and delta.
 """
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from bachimpact import (
     BachelierModel,
     BasketCall,
-    GenericLipschitz,
     InvalidParameterError,
     RidgePayoff,
     TimeGrid,
@@ -32,7 +31,8 @@ from bachimpact import (
     sup_convolve_argmax,
 )
 from bachimpact.config import GENERIC_PAYOFFS
-from bachimpact.market import SEARCH_GRID_POINTS, SEARCH_ROUNDS, SEARCH_SHRINK
+from bachimpact.market import SEARCH_GRID_POINTS, SEARCH_ROUNDS
+from oracle import SEARCH_SHRINK, GenericLipschitz, search, search_argmax
 
 # the registry's ridge payoffs, each with its closed form of the same name in bench/reference.py
 PROFILES = ("basket_call", "straddle")
@@ -128,9 +128,9 @@ class TestRidgeTransform:
         oracle = GenericLipschitz(fn=payoff.evaluate, lipschitz_constant=payoff.lipschitz_constant)
         points = spots[:1] if sigma.dim == 3 else spots  # 36 ms a d = 3 oracle point
         exact = sup_convolve(payoff, a_risk, sigma, points)
-        slow = sup_convolve(oracle, a_risk, sigma, points)
+        slow, _ = search(oracle, a_risk, sigma, points)
         ys = sup_convolve_argmax(payoff, a_risk, sigma, points)
-        slow_ys = sup_convolve_argmax(oracle, a_risk, sigma, points, eps=1e-6)
+        slow_ys = search_argmax(oracle, a_risk, sigma, points, 1e-6)
         c = math.sqrt(a_risk) * float(a @ sigma.entries @ a)
         for x, g, y, slow_y in zip(points, exact, ys, slow_ys):
             rounding = 1e-12 * (1.0 + abs(g))
@@ -142,16 +142,16 @@ class TestRidgeTransform:
         assert np.abs(exact - slow).max() <= search_resolution(payoff, a_risk, sigma)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(ridge_market(), st.sampled_from(sorted(SHAPES)), st.floats(1e-9, 1e-4))
-    def test_argmax_attains_value_within_eps(self, market, name, eps):
+    @given(ridge_market(), st.sampled_from(sorted(SHAPES)))
+    def test_argmax_attains_value(self, market, name):
         a_risk, sigma, a, b, spots = market
         payoff = ridge(name, a, b)
-        ys = sup_convolve_argmax(payoff, a_risk, sigma, spots, eps=eps)
+        ys = sup_convolve_argmax(payoff, a_risk, sigma, spots)
         for x, y in zip(spots, ys):
             c = math.sqrt(a_risk) * float(a @ sigma.entries @ a)
             best = exact_claim(name, float(x @ a + b), c)
             rounding = 1e-12 * (1.0 + abs(best))
-            assert best - eps - rounding <= attained(payoff, a_risk, sigma, x, y) <= best + rounding
+            assert abs(attained(payoff, a_risk, sigma, x, y) - best) <= rounding
 
     def test_kink_takes_the_smaller_slope(self, sigma1):
         # ties resolve to the lower piece: 0 for the call, as BasketCall's selector does
