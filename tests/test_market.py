@@ -59,7 +59,8 @@ class TestTypes:
 
     def test_payoffs_compare_and_hash_in_two_dims(self):
         # identity semantics: comparing the array fields would raise in d >= 2
-        for payoff in (BasketCall(a=[3.0, 4.0], b=0.0), GENERIC_PAYOFFS["straddle"](np.ones(2), 0.0)):
+        straddle = GENERIC_PAYOFFS["straddle"](np.ones(2), 0.0)
+        for payoff in (BasketCall(a=[3.0, 4.0], b=0.0), straddle):
             copy = pickle.loads(pickle.dumps(payoff))
             assert payoff == payoff
             assert (payoff == copy) is False
