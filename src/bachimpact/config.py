@@ -226,8 +226,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if merged["dual.n_random_specs"] < 0:
         raise ConfigError("dual.n_random_specs must be >= 0")
-    if merged["output.precision"] < 1:
-        raise ConfigError("output.precision must be >= 1")
+    # a double carries at most 17 significant digits
+    if not 1 <= merged["output.precision"] <= 17:
+        raise ConfigError("output.precision must lie in [1, 17]")
 
     return ExperimentConfig(
         model=model,

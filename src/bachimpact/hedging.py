@@ -39,7 +39,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, OverflowGuardError
 from .linalg import SpdMatrix, inverse, mat_exp, row_vec_mul
-from .market import BachelierModel, Payoff, TimeGrid, brownian_increments, substream
+from .market import (
+    STREAM_PLACE_WORDS, BachelierModel, Payoff, TimeGrid, brownian_increments, stream_place,
+    substreams,
+)
 # delta_u is not called here: bench/spans.py looks its boundary up in this
 # module, and traced runs silently drop the delta_u metrics without the binding
 from .pricing import _closed_form_delta_factory, delta_u, price_u  # noqa: F401
@@ -259,20 +262,29 @@ def _products(d: int) -> tuple:
     return np.matmul, dot, square_norm
 
 
-def _draw_block(rngs, dw, tile, rows: int, sqrt_h: float) -> None:
-    """Fill ``dw[:rows]`` (rows, m, d) with each path's next ``rows`` draws times sqrt(h).
+def _draw_block(streams, first, dw, tile, rows: int, sqrt_h: float, resume=None, save=None):
+    """Fill ``dw[:rows]`` (rows, m, d) with the next ``rows`` draws of each path, times sqrt(h).
 
-    A path's draws are one contiguous run; they pass through the path-major
-    ``tile`` and are copied transposed into ``dw`` a tile at a time, so
-    neither side is written a scattered column at a time.
+    Path p draws from ``streams(first + p)``, one generator re-keyed per path
+    (:func:`market.substreams`): from its stream's start, or from row p of
+    ``resume`` where an earlier block left it; row p of ``save`` receives
+    where this block leaves it.  A path's draws are one contiguous run; they
+    are drawn straight into the path-major ``tile`` and copied transposed
+    into ``dw`` a tile at a time, so neither side is written a scattered
+    column at a time.
     """
     width, d = tile.shape[0], tile.shape[2]
-    for lo in range(0, len(rngs), width):
-        part = rngs[lo:lo + width]
-        for i, rng in enumerate(part):
-            tile[i, :rows] = brownian_increments(rng, rows, d)
-        dst = dw[:rows, lo:lo + len(part)]
-        np.multiply(tile[:len(part), :rows].transpose(1, 0, 2), sqrt_h, out=dst)
+    m = dw.shape[1]
+    for lo in range(0, m, width):
+        count = min(width, m - lo)
+        for i in range(count):
+            p = lo + i
+            rng = streams(first + p, None if resume is None else resume[p])
+            brownian_increments(rng, rows, d, out=tile[i, :rows])
+            if save is not None:
+                stream_place(rng, save[p])
+        dst = dw[:rows, lo:lo + count]
+        np.multiply(tile[:count, :rows].transpose(1, 0, 2), sqrt_h, out=dst)
 
 
 def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
@@ -280,15 +292,16 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
 
     Every impact in ``lams`` is stepped on the same grid and price paths,
     along a leading impact axis, so each path's increments are drawn once for
-    all of them: in blocks of steps from the path's substream, kept alive
-    across blocks (:func:`_draw_block`).  The step writes into buffers
-    allocated once per chunk, and in d=1 multiplies elementwise where the
-    matrix products are 1x1 (:func:`_products`); either way every bit is
-    that of the plain matrix expressions.  Returns the seven
-    :class:`HedgeBatch` arrays flattened impact-major (first axis L*m), then,
-    if ``record`` is set for a single impact, (prices, positions, rates,
-    targets) at every knot, else None.  ``frozen_targets`` (n, d) replaces
-    the live targets of every path.
+    all of them: in blocks of steps from the path's substream, drawn by one
+    generator re-keyed per path, with each path's place in its stream saved
+    between blocks when there are several (:func:`_draw_block`).  The step
+    writes into buffers allocated once per chunk, and in d=1 multiplies
+    elementwise where the matrix products are 1x1 (:func:`_products`);
+    either way every bit is that of the plain matrix expressions.  Returns
+    the seven :class:`HedgeBatch` arrays flattened impact-major (first axis
+    L*m), then, if ``record`` is set for a single impact, (prices,
+    positions, rates, targets) at every knot, else None.  ``frozen_targets``
+    (n, d) replaces the live targets of every path.
     """
     (a_risk, lams, model, payoff, phi0, n, h, seed, start, stop) = args
     d = model.d
@@ -300,8 +313,9 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     half_lam = 0.5 * lam_col
     target_fn = _closed_form_delta_factory(a_risk, model, payoff)
     prod, dot, square_norm = _products(d)
-    rngs = [substream(seed, start + i) for i in range(m)]
+    streams = substreams(seed)
     block = max(1, min(n, DRAW_BLOCK_DOUBLES // (m * d)))
+    places = np.empty((m, STREAM_PLACE_WORDS), dtype=np.uint64) if block < n else None
     dw = np.empty((block, m, d))
     tile = np.empty((min(m, DRAW_TILE_PATHS), block, d))
 
@@ -323,7 +337,9 @@ def _hedge_chunk(args, record: bool = False, frozen_targets=None) -> tuple:
     for k in range(n):
         j = k % block
         if j == 0:
-            _draw_block(rngs, dw, tile, min(block, n - k), sqrt_h)
+            resume = places if k else None
+            save = places if k + block < n else None
+            _draw_block(streams, start, dw, tile, min(block, n - k), sqrt_h, resume, save)
         t_k = k * h
         if frozen_targets is None:
             # shifted = s - sqrt(A) (phi sigma)

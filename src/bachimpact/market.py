@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cached_property
+from typing import Callable, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -131,38 +132,100 @@ Payoff = Union[BasketCall, RidgePayoff]
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_n = T."""
+    """Uniform grid 0 = t_0 < ... < t_n = T, compared and hashed by (n_steps, T)."""
 
     n_steps: int
     T: float
-    knots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise InvalidParameterError("n_steps must be >= 1")
         if not self.T > 0.0:
             raise InvalidParameterError("T must be positive")
-        object.__setattr__(self, "knots", np.linspace(0.0, self.T, self.n_steps + 1))
 
     @property
     def dt(self) -> float:
         return self.T / self.n_steps
 
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """The n_steps + 1 grid times, built on first use: the engine never reads them."""
+        return np.linspace(0.0, self.T, self.n_steps + 1)
+
 
 def substream(*key: int) -> Generator:
-    """Counter-based Philox generator keyed by ``key``: every draw of the package."""
+    """Counter-based Philox generator keyed by ``key``, for a one-off stream.
+
+    Building one costs about 20 µs, mostly numpy seeding a ``SeedSequence``
+    from OS entropy that the key then overrides; code that walks many keys
+    of one seed re-keys a single generator with :func:`substreams` instead.
+    """
     return Generator(Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def brownian_increments(rng: Generator, n_steps: int, d: int) -> np.ndarray:
-    """The next ``n_steps`` standard-normal step draws of one path's substream.
+def substreams(seed: int) -> Callable[..., Generator]:
+    """``index -> substream(seed, index)``, bit for bit, from one re-keyed generator.
 
-    ``rng`` is the path's :func:`substream` keyed by (seed, path_index), so
-    every path is reproducible independent of chunking, worker count or how
-    many paths are simulated in total.  Successive calls continue the stream:
-    blocks of draws equal one call for all the steps, bit for bit.
+    Every call returns the same Philox generator, set to the state a fresh
+    ``substream(seed, index)`` starts in: that key, counter 0, an empty
+    buffer (``buffer_pos`` 4) and no cached uint32.  That is its whole
+    state, so nothing drawn before survives; setting it costs about 1 µs.
+    The streams are not independent objects: a caller that leaves a stream
+    part-way saves its place with :func:`stream_place` and passes it back
+    as ``place`` to resume there instead of at the start.
     """
-    return rng.standard_normal((n_steps, d))
+    rng = substream(seed, 0)
+    bitgen = rng.bit_generator
+    key = [seed, 0]
+    start = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+    def stream(index: int, place: np.ndarray | None = None) -> Generator:
+        key[1] = index
+        if place is None:
+            bitgen.state = start
+        else:
+            w = place.tolist()
+            bitgen.state = {
+                "bit_generator": "Philox", "state": {"counter": w[:4], "key": key},
+                "buffer": w[4:8], "buffer_pos": w[8], "has_uint32": w[9], "uinteger": w[10],
+            }
+        return rng
+
+    return stream
+
+
+# uint64 words of a saved place in a stream (see stream_place)
+STREAM_PLACE_WORDS = 11
+
+
+def stream_place(rng: Generator, out: np.ndarray) -> None:
+    """Write where ``rng``'s Philox stream stands into the uint64 words ``out``.
+
+    The words are the counter (4), the buffer (4), ``buffer_pos``,
+    ``has_uint32`` and ``uinteger``: with the key, all a stream of
+    :func:`substreams` needs to resume.
+    """
+    state = rng.bit_generator.state
+    out[:4], out[4:8] = state["state"]["counter"], state["buffer"]
+    out[8:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def brownian_increments(
+    rng: Generator, n_steps: int, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The next ``n_steps`` standard-normal step draws of one path's stream.
+
+    ``rng`` draws the path's ``substream(seed, path_index)`` (in the engine,
+    one generator re-keyed per path by :func:`substreams`), so every path is
+    reproducible independent of chunking, worker count or how many paths are
+    simulated in total.  Successive calls continue the stream: blocks of
+    draws equal one call for all the steps, bit for bit.  ``out``, a
+    C-contiguous (n_steps, d) array, receives the draws in place.
+    """
+    return rng.standard_normal((n_steps, d), out=out)
 
 
 def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:

@@ -414,6 +414,9 @@ OUT_OF_RANGE_CASES = [
     ("--workers", "numerics.workers", "0"),
     ("--paths", "numerics.n_paths", "0"),
     ("config", "dual.n_random_specs", "-2"),
+    ("config", "output.precision", "0"),
+    ("config", "output.precision", "18"),
+    ("config", "output.precision", str(2**31)),
 ]
 
 

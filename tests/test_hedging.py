@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -23,7 +27,7 @@ from bachimpact import (
     wealth,
     wealth_by_parts,
 )
-from bachimpact import hedging
+from bachimpact import cli, hedging, market
 from bachimpact.market import inflated_strike, substream
 from bachimpact.pricing import limit_value
 from oracle import zero_claim
@@ -371,6 +375,20 @@ class TestBatchEngine:
         for name in KNOT_FIELDS:
             assert np.array_equal(getattr(rec_tiled, name), getattr(rec_whole, name)), name
 
+    def test_one_generator_per_chunk(self, atm_model, atm_call, monkeypatch):
+        # 600 paths in 256-path chunks: three chunks, each re-keying one Philox per path
+        built = []
+        philox = market.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(args or kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(market, "Philox", counting_philox)
+        grid = TimeGrid(n_steps=8, T=1.0)
+        run_hedge_batch(1.0, 0.2, atm_model, atm_call, [0.0], grid, 600, 3, chunk_size=256)
+        assert 0 < len(built) <= 3
+
     def test_worker_invariance(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=32, T=1.0)
         serial = run_hedge_batch(
@@ -383,6 +401,7 @@ class TestBatchEngine:
         assert np.array_equal(serial.s_terminal, parallel.s_terminal)
 
 
+TESTS_DIR = Path(__file__).resolve().parent
 BATCH_FIELDS = [f.name for f in fields(HedgeBatch)]
 STACK_LAMS = [0.4, 0.1, 0.05]
 
@@ -518,6 +537,31 @@ class TestStackedImpacts:
             _assert_batches_equal(got, want)
         for name in KNOT_FIELDS:
             assert np.array_equal(getattr(rec_blocked, name), getattr(rec_whole, name)), name
+
+    @pytest.mark.parametrize("name,n_paths", [("converge", 2000), ("hedge", 200)])
+    def test_multi_block_draws_match_golden(self, name, n_paths, tmp_path, monkeypatch):
+        # the golden runs fit in one draw block; in 300-step blocks their 1000
+        # steps take three full blocks and a last one of 100, so every path
+        # resumes its stream from a saved place twice
+        golden = json.loads((TESTS_DIR / "golden_outputs.json").read_text())
+        if (np.__version__, scipy.__version__) != (golden["numpy"], golden["scipy"]):
+            pytest.skip("golden digests were recorded with other numpy/scipy versions")
+        monkeypatch.chdir(TESTS_DIR.parent)
+        monkeypatch.setattr(hedging, "DRAW_BLOCK_DOUBLES", 300 * n_paths)
+        blocks = []
+        draw_block = hedging._draw_block
+
+        def recording_draw_block(*args):
+            blocks.append((args[4], args[6] is not None))  # rows, resumed
+            return draw_block(*args)
+
+        monkeypatch.setattr(hedging, "_draw_block", recording_draw_block)
+        out = tmp_path / f"{name}.csv"
+        config = {"converge": "configs/converge_atm.cfg", "hedge": "configs/hedge_atm.cfg"}[name]
+        paths = ["--paths", str(n_paths)] if name == "converge" else []
+        assert cli.main([name, "--config", config, *paths, "--out", str(out), "--quiet"]) == 0
+        assert blocks[:4] == [(300, False), (300, True), (300, True), (100, True)]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"][name]
 
     def test_blocked_draws_continue_the_stream(self):
         rng = substream(5, 3)

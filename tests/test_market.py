@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from bachimpact import (
     sup_convolve_argmax,
 )
 from bachimpact.config import GENERIC_PAYOFFS
-from bachimpact.market import antithetic_normals, substream
+from bachimpact.market import (
+    STREAM_PLACE_WORDS,
+    antithetic_normals,
+    stream_place,
+    substream,
+    substreams,
+)
 from oracle import GenericLipschitz, search, search_argmax, zero_claim
 
 
@@ -40,6 +47,25 @@ class TestTypes:
         assert grid.knots[0] == 0.0
         assert grid.knots[-1] == 2.0
         assert np.allclose(np.diff(grid.knots), grid.dt)
+
+    def test_time_grid_compares_and_hashes(self):
+        grid = TimeGrid(n_steps=4, T=1.0)
+        grid.knots  # built and cached on first use; not part of the comparison
+        assert grid == TimeGrid(4, 1.0)
+        assert grid != TimeGrid(5, 1.0)
+        assert hash(grid) == hash(TimeGrid(4, 1.0))
+        assert len({grid, TimeGrid(4, 1.0), TimeGrid(4, 2.0)}) == 2
+
+    def test_time_grid_allocates_no_knots_up_front(self):
+        # the knots of 10^7 steps would be 80 MB; the engine reads only dt
+        tracemalloc.start()
+        try:
+            grid = TimeGrid(n_steps=10**7, T=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert grid.dt == 1e-7
 
     def test_basket_lipschitz_constant(self):
         call = BasketCall(a=[3.0, 4.0], b=0.0)
@@ -160,6 +186,33 @@ class TestSimulatePaths:
         assert np.array_equal(substream(11, 2).standard_normal((5, 2)), direct)
         assert np.array_equal(brownian_increments(substream(11, 2), 5, 2), direct)
         assert np.array_equal(antithetic_normals((11, 2), 5, 2), np.vstack([direct, -direct]))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_streams_equal_substreams(self, seed):
+        # one generator re-keyed per index draws substream(seed, index) bit for
+        # bit, whatever it drew before: left mid-buffer with a cached uint32
+        streams = substreams(seed)
+        streams(1).integers(0, 2**31, size=3, dtype=np.uint32)
+        for index in (2**32 + 5, 0, 3, 2**64 - 1):
+            got = brownian_increments(streams(index), 7, 2)
+            assert np.array_equal(got, brownian_increments(substream(seed, index), 7, 2)), index
+
+    def test_saved_place_resumes_the_stream(self):
+        streams = substreams(7)
+        rng = streams(2**40)
+        head = brownian_increments(rng, 5, 1)
+        place = np.empty(STREAM_PLACE_WORDS, dtype=np.uint64)
+        stream_place(rng, place)
+        streams(3).standard_normal(11)
+        tail = brownian_increments(streams(2**40, place), 4, 1)
+        whole = brownian_increments(substream(7, 2**40), 9, 1)
+        assert np.array_equal(np.vstack([head, tail]), whole)
+
+    def test_increments_drawn_in_place(self):
+        out = np.empty((6, 2))
+        got = brownian_increments(substream(11, 2), 6, 2, out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out, brownian_increments(substream(11, 2), 6, 2))
 
     def test_brownian_increment_scale(self, atm_model):
         grid = TimeGrid(n_steps=4, T=1.0)
