@@ -262,16 +262,16 @@ def _products(d: int) -> tuple:
     return np.matmul, dot, square_norm
 
 
-def _draw_block(streams, first, dw, tile, rows: int, sqrt_h: float, resume=None, save=None):
+def _draw_block(streams, first, dw, tile, rows: int, sqrt_h: float, resume, save) -> None:
     """Fill ``dw[:rows]`` (rows, m, d) with the next ``rows`` draws of each path, times sqrt(h).
 
     Path p draws from ``streams(first + p)``, one generator re-keyed per path
-    (:func:`market.substreams`): from its stream's start, or from row p of
-    ``resume`` where an earlier block left it; row p of ``save`` receives
-    where this block leaves it.  A path's draws are one contiguous run; they
-    are drawn straight into the path-major ``tile`` and copied transposed
-    into ``dw`` a tile at a time, so neither side is written a scattered
-    column at a time.
+    (:func:`market.substreams`): from row p of ``resume`` where an earlier
+    block left its stream, or from the start if ``resume`` is None.  Unless
+    ``save`` is None, its row p receives where this block leaves the
+    stream.  A path's draws are one contiguous run; they are drawn straight
+    into the path-major ``tile`` and copied transposed into ``dw`` a tile at
+    a time, so neither side is written a scattered column at a time.
     """
     width, d = tile.shape[0], tile.shape[2]
     m = dw.shape[1]

@@ -156,8 +156,9 @@ class TimeGrid:
 def substream(*key: int) -> Generator:
     """Counter-based Philox generator keyed by ``key``, for a one-off stream.
 
-    Building one costs about 20 µs, mostly numpy seeding a ``SeedSequence``
-    from OS entropy that the key then overrides; code that walks many keys
+    Building one costs 10-20 µs, nearly all of it seeding work (a
+    ``SeedSequence`` drawn from OS entropy, then the generator's own
+    initialisation) that the key then overrides; code that walks many keys
     of one seed re-keys a single generator with :func:`substreams` instead.
     """
     return Generator(Philox(key=np.array(key, dtype=np.uint64)))

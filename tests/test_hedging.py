@@ -381,7 +381,7 @@ class TestBatchEngine:
         philox = market.Philox
 
         def counting_philox(*args, **kwargs):
-            built.append(args or kwargs)
+            built.append(kwargs)
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(market, "Philox", counting_philox)
