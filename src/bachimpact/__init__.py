@@ -28,7 +28,6 @@ from .linalg import (
 from .market import (
     BachelierModel,
     BasketCall,
-    Payoff,
     RidgePayoff,
     TimeGrid,
     brownian_increments,

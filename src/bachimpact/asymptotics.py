@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,16 +24,18 @@ from .errors import (
 from .linalg import SpdMatrix, from_spectrum, hyperbolic_ratio, inverse, row_vec_mul
 from .market import (
     BachelierModel,
-    Payoff,
+    RidgePayoff,
     TimeGrid,
     _search_radius,
-    antithetic_normals,
+    substreams,
     sup_convolve_argmax,
 )
 from .hedging import HedgeBatch, _as_impacts, run_hedge_batch
 from .pricing import QuadratureRule, coarsen_rule, default_quadrature
 
 LAM_DESK_FLOOR = 0.02
+# Monte Carlo sample count of the dual where no default rule exists (d >= 4)
+DUAL_MC_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -51,22 +53,18 @@ class CeEstimate:
 class DualSpec:
     """A candidate selector for the dual functional.
 
-    ``h`` maps terminal Brownian values (m, d) to displacement rows (m, d);
-    an optional constant ``shift`` is added on top.  ``bound`` documents the
-    selector's sup-norm when ``bounded`` is set and is checked on the sampled
-    points as a diagnostic.
+    ``h`` maps terminal Brownian values (m, d) to displacement rows (m, d).
+    ``bound`` documents the selector's sup-norm when ``bounded`` is set and is
+    checked on the sampled points as a diagnostic.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
-    shift: Optional[np.ndarray] = None
     bounded: bool = True
     bound: float = float("inf")
     name: str = "dual"
 
     def displacements(self, w_terminal: np.ndarray) -> np.ndarray:
         y = np.asarray(self.h(w_terminal), dtype=float)
-        if self.shift is not None:
-            y = y + np.asarray(self.shift, dtype=float)[None, :]
         if self.bounded and np.isfinite(self.bound):
             worst = float(np.linalg.norm(y, axis=1).max(initial=0.0))
             if worst > self.bound * (1.0 + 1e-9) + 1e-12:
@@ -94,7 +92,7 @@ def certainty_equivalent_mc(
     a_risk: float,
     lam: float | Sequence[float],
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
     n_paths: int,
     grid: TimeGrid,
@@ -150,10 +148,10 @@ def _ce_estimate(a_risk: float, lam: float, batch: HedgeBatch) -> CeEstimate:
 def dual_lower_bound(
     a_risk: float,
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
     spec: DualSpec,
-    n_samples_or_rule: Union[int, QuadratureRule, None] = None,
+    rule: QuadratureRule | None = None,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Value of the dual functional for one selector.
@@ -163,28 +161,23 @@ def dual_lower_bound(
         f(s0 + w sigma - Y) + <phi0, Y> - <Y, Y sigma^{-1}>/(2 sqrt A),
 
     with Y = spec(w).  Any bounded measurable selector yields a valid lower
-    bound for the scaling limit.  Quadrature (d <= 3) reports the
-    half-resolution refinement gap as its tolerance; Monte Carlo reports a
-    standard error.
+    bound for the scaling limit.  On ``rule``, by default the dimension's
+    default rule (d <= 3), it reports the half-resolution refinement gap as
+    its tolerance.  Without one (d >= 4) it draws DUAL_MC_SAMPLES antithetic
+    normals from the stream ``(seed, 0xD0A1)``, so the odd sample moments
+    vanish exactly, and reports a standard error.
     """
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    rule: Optional[QuadratureRule]
-    if isinstance(n_samples_or_rule, QuadratureRule):
-        rule = n_samples_or_rule
-    elif n_samples_or_rule is None:
-        rule = default_quadrature(model.d)
-    else:
-        rule = None
-
+    rule = rule if rule is not None else default_quadrature(model.d)
     if rule is not None:
         value = _dual_on_rule(a_risk, model, payoff, phi0, spec, rule)
         coarse = _dual_on_rule(a_risk, model, payoff, phi0, spec, coarsen_rule(rule))
         return value, abs(value - coarse)
 
-    n_samples = int(n_samples_or_rule) if n_samples_or_rule else 100_000
-    z = antithetic_normals((seed, 0xD0A1), n_samples // 2, model.d)
+    half = substreams(seed)(0xD0A1).standard_normal((DUAL_MC_SAMPLES // 2, model.d))
+    z = np.vstack([half, -half])
     terms = _dual_terms(a_risk, model, payoff, phi0, spec, math.sqrt(model.T) * z)
     return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
 
@@ -205,7 +198,7 @@ def _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal) -> np.ndarray:
     return payoff_vals + y @ phi0 - penalty
 
 
-def optimal_dual_Y(a_risk: float, model: BachelierModel, payoff: Payoff, phi0) -> DualSpec:
+def optimal_dual_Y(a_risk: float, model: BachelierModel, payoff: RidgePayoff, phi0) -> DualSpec:
     """Selector achieving the scaling limit in the dual functional.
 
     At each terminal Brownian value w, evaluate the inflated payoff's exact
@@ -220,13 +213,11 @@ def optimal_dual_Y(a_risk: float, model: BachelierModel, payoff: Payoff, phi0) -
 
     def selector(w_terminal: np.ndarray) -> np.ndarray:
         x = model.s0[None, :] - base_shift[None, :] + w_terminal @ model.sigma.entries
-        return -sup_convolve_argmax(payoff, a_risk, model.sigma, x)
+        return -sup_convolve_argmax(payoff, a_risk, model.sigma, x) + base_shift[None, :]
 
     # the maximiser lies within the search radius of the origin
     bound = _search_radius(payoff, a_risk, model.sigma) + float(np.linalg.norm(base_shift))
-    return DualSpec(
-        h=selector, shift=base_shift, bounded=True, bound=bound, name="optimal"
-    )
+    return DualSpec(h=selector, bounded=True, bound=bound, name="optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
 
 def _random_bounded_specs(cfg: ExperimentConfig, count: int) -> list[asymptotics.DualSpec]:
     d = cfg.model.d
-    rng = market.substream(cfg.seed, 0x5EED)
+    rng = market.substreams(cfg.seed)(0x5EED)
     specs = []
     for i in range(count):
         amp = rng.uniform(0.1, 2.0, size=d)
@@ -258,7 +258,7 @@ def _check_items(cfg: ExperimentConfig):
     model, payoff, a_risk = cfg.model, cfg.payoff, cfg.a_risk
     sigma = model.sigma
     rule = _resolve_rule(cfg)
-    rng = market.substream(cfg.seed, 0xC0DE)
+    rng = market.substreams(cfg.seed)(0xC0DE)
 
     cosh_m = apply_scalar_function(sigma, np.cosh)
     sinh_m = apply_scalar_function(sigma, np.sinh)

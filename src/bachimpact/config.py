@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import make_spd
-from .market import BachelierModel, BasketCall, Payoff, RidgePayoff
+from .market import BachelierModel, BasketCall, RidgePayoff
 
 # value kinds: f float, i int, fl float list, s string, auto_i int-or-"auto"
 _SCHEMA = {
@@ -79,7 +79,7 @@ def _profile(name: str, slopes: tuple):
 GENERIC_PAYOFFS = {
     "zero": _profile("zero", (0.0,)),
     "straddle": _profile("straddle", (-1.0, 1.0)),
-    "basket_call": _profile("basket_call", (0.0, 1.0)),
+    "basket_call": BasketCall,
 }
 
 
@@ -88,7 +88,7 @@ class ExperimentConfig:
     """Validated experiment inputs plus the raw key-value view."""
 
     model: BachelierModel
-    payoff: Payoff
+    payoff: RidgePayoff
     a_risk: float
     lambdas: list[float]
     phi0: np.ndarray
@@ -142,7 +142,7 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _build_payoff(values: dict, d: int) -> Payoff:
+def _build_payoff(values: dict, d: int) -> RidgePayoff:
     kind = values["payoff.kind"]
     if kind == "basket_call":
         a = values.get("payoff.a")

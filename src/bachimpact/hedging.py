@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, OverflowGuardError
 from .linalg import SpdMatrix, inverse, mat_exp, row_vec_mul
 from .market import (
-    STREAM_PLACE_WORDS, BachelierModel, Payoff, TimeGrid, brownian_increments, stream_place,
+    STREAM_PLACE_WORDS, BachelierModel, RidgePayoff, TimeGrid, brownian_increments, stream_place,
     substreams,
 )
 # delta_u is not called here: bench/spans.py looks its boundary up in this
@@ -184,7 +184,7 @@ def wealth_by_parts(prices, positions, rates, lam: float, h: float) -> float:
     return base + (gains - cost) * h
 
 
-def position_bound(payoff: Payoff, phi0, margin: float = 1.0) -> float:
+def position_bound(payoff: RidgePayoff, phi0, margin: float = 1.0) -> float:
     """A priori sup-norm bound on tracking positions, uniform in the impact.
 
     The target is a claim-price gradient, bounded by the payoff's Lipschitz
@@ -195,7 +195,9 @@ def position_bound(payoff: Payoff, phi0, margin: float = 1.0) -> float:
     return max(float(np.linalg.norm(phi0)), payoff.lipschitz_constant) + margin
 
 
-def drift_slack(a_risk: float, lam: float, model: BachelierModel, payoff: Payoff, phi0) -> float:
+def drift_slack(
+    a_risk: float, lam: float, model: BachelierModel, payoff: RidgePayoff, phi0
+) -> float:
     """Allowance the price drift adds to the upper bound of the limit.
 
     (lam / sqrt(A)) * 2 * C * T * ||mu sigma^{-1}|| with C the
@@ -384,7 +386,7 @@ def run_hedge_batch(
     a_risk: float,
     lam: float | Sequence[float],
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
     grid: TimeGrid,
     n_paths: int,
@@ -437,7 +439,7 @@ def hedge_paths(
     a_risk: float,
     lam: float,
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
     grid: TimeGrid,
     n_paths: int,
@@ -472,7 +474,7 @@ def supermartingale_check_mc(
     a_risk: float,
     lam: float,
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
     grid: TimeGrid,
     n_paths: int,
@@ -491,7 +493,7 @@ def supermartingale_check_mc(
 
 
 def _certificate_ratio(
-    a_risk: float, lam: float, model: BachelierModel, payoff: Payoff, phi0, batch: HedgeBatch
+    a_risk: float, lam: float, model: BachelierModel, payoff: RidgePayoff, phi0, batch: HedgeBatch
 ) -> tuple[float, float]:
     """Mean and standard error of the corrected terminal ratio over ``batch``.
 

@@ -4,8 +4,9 @@ inflation transform used throughout the scaling analysis.
 Price dynamics are arithmetic: S_t = s0 + mu*t + W_t sigma with W a standard
 d-dimensional Brownian motion and sigma a fixed SPD volatility matrix.  All
 vectors are row vectors; ``z sigma`` means the row-vector/matrix product.
-Every payoff is a basket call or a ridge payoff of a convex max-of-affine
-profile, so the inflated claim and its maximiser are exact in any d.
+Every payoff is a ridge payoff of a convex max-of-affine profile (the basket
+call is the profile y^+), so the inflated claim and its maximiser are exact
+in any d.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -61,28 +62,6 @@ def _read_only(a) -> np.ndarray:
 
 # eq=False: == and hash() by identity; generated ones compare the arrays and raise in d >= 2
 @dataclass(frozen=True, eq=False)
-class BasketCall:
-    """Payoff (<a, x> + b)^+ with closed forms for everything downstream."""
-
-    a: np.ndarray
-    b: float
-    lipschitz_constant: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _read_only(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "lipschitz_constant", float(np.linalg.norm(self.a)))
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy's vector is read-only too
-        return BasketCall, (self.a, self.b)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.maximum(x @ self.a + self.b, 0.0)
-
-
-@dataclass(frozen=True, eq=False)  # identity == and hash(), as for BasketCall
 class RidgePayoff:
     """Payoff h(<a, x> + b) of a convex profile h(y) = max_i(slopes_i y + intercepts_i).
 
@@ -90,7 +69,8 @@ class RidgePayoff:
     payoff pickles for worker pools; its pieces are kept in ascending slope
     order (then intercept), which fixes the tie rule at a kink.  The
     inflation transform of a ridge payoff is exact in any d (see
-    :func:`sup_convolve`).
+    :func:`sup_convolve`).  ``is_call`` records whether the sorted pieces are
+    exactly those of the basket call y^+, which has closed forms everywhere.
     """
 
     a: np.ndarray
@@ -99,6 +79,7 @@ class RidgePayoff:
     intercepts: np.ndarray
     name: str = "ridge"
     lipschitz_constant: float = field(init=False, repr=False)
+    is_call: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _read_only(self.a))
@@ -117,6 +98,8 @@ class RidgePayoff:
         object.__setattr__(self, "intercepts", _read_only(intercepts[order]))
         lip = float(np.linalg.norm(self.a)) * float(np.abs(self.slopes).max())
         object.__setattr__(self, "lipschitz_constant", lip)
+        call = self.slopes.tolist() == [0.0, 1.0] and self.intercepts.tolist() == [0.0, 0.0]
+        object.__setattr__(self, "is_call", call)
 
     def __reduce__(self):
         # rebuilt through __init__, so a copy's arrays are read-only too
@@ -124,10 +107,14 @@ class RidgePayoff:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         r = np.asarray(x, dtype=float) @ self.a + self.b
+        if self.is_call:
+            return np.maximum(r, 0.0)
         return np.max(r[..., None] * self.slopes + self.intercepts, axis=-1)
 
 
-Payoff = Union[BasketCall, RidgePayoff]
+def BasketCall(a, b) -> RidgePayoff:
+    """The basket call (<a, x> + b)^+: the ridge payoff of the profile y^+."""
+    return RidgePayoff(a, b, (0.0, 1.0), (0.0, 0.0), name="basket_call")
 
 
 @dataclass(frozen=True)
@@ -153,29 +140,20 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-def substream(*key: int) -> Generator:
-    """Counter-based Philox generator keyed by ``key``, for a one-off stream.
-
-    Building one costs 10-20 µs, nearly all of it seeding work (a
-    ``SeedSequence`` drawn from OS entropy, then the generator's own
-    initialisation) that the key then overrides; code that walks many keys
-    of one seed re-keys a single generator with :func:`substreams` instead.
-    """
-    return Generator(Philox(key=np.array(key, dtype=np.uint64)))
-
-
 def substreams(seed: int) -> Callable[..., Generator]:
-    """``index -> substream(seed, index)``, bit for bit, from one re-keyed generator.
+    """``index ->`` the counter-based Philox stream keyed ``(seed, index)``.
 
-    Every call returns the same Philox generator, set to the state a fresh
-    ``substream(seed, index)`` starts in: that key, counter 0, an empty
-    buffer (``buffer_pos`` 4) and no cached uint32.  That is its whole
-    state, so nothing drawn before survives; setting it costs about 1 µs.
+    Every call returns the same generator, set to the state a fresh
+    ``Generator(Philox(key=(seed, index)))`` starts in: that key, counter 0,
+    an empty buffer (``buffer_pos`` 4) and no cached uint32.  That is its
+    whole state, so nothing drawn before survives; setting it costs about
+    1 µs, where building a generator costs 10-20 µs of seeding work that
+    the key then overrides.  A one-off stream is ``substreams(seed)(tag)``.
     The streams are not independent objects: a caller that leaves a stream
     part-way saves its place with :func:`stream_place` and passes it back
     as ``place`` to resume there instead of at the start.
     """
-    rng = substream(seed, 0)
+    rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
     bitgen = rng.bit_generator
     key = [seed, 0]
     start = {
@@ -219,8 +197,8 @@ def brownian_increments(
 ) -> np.ndarray:
     """The next ``n_steps`` standard-normal step draws of one path's stream.
 
-    ``rng`` draws the path's ``substream(seed, path_index)`` (in the engine,
-    one generator re-keyed per path by :func:`substreams`), so every path is
+    ``rng`` draws the path's Philox stream keyed ``(seed, path_index)`` (in
+    the engine, one generator re-keyed per path by :func:`substreams`), so every path is
     reproducible independent of chunking, worker count or how many paths are
     simulated in total.  Successive calls continue the stream: blocks of
     draws equal one call for all the steps, bit for bit.  ``out``, a
@@ -229,17 +207,7 @@ def brownian_increments(
     return rng.standard_normal((n_steps, d), out=out)
 
 
-def antithetic_normals(key, n_half: int, d: int) -> np.ndarray:
-    """Antithetic standard-normal rows from the Philox substream ``key``.
-
-    ``n_half`` rows are drawn and stacked with their negatives, so the odd
-    sample moments vanish exactly.
-    """
-    half = substream(*key).standard_normal((n_half, d))
-    return np.vstack([half, -half])
-
-
-def inflated_strike(payoff: BasketCall, a_risk: float, sigma: SpdMatrix) -> float:
+def inflated_strike(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix) -> float:
     """Strike b + sqrt(A) <a sigma, a>/2 of the inflated basket call (<a, x> + strike)^+."""
     return payoff.b + 0.5 * math.sqrt(a_risk) * quad_form(payoff.a, sigma.entries)
 
@@ -250,7 +218,7 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(x), x.ndim == 2
 
 
-def _search_radius(payoff: Payoff, a_risk: float, sigma: SpdMatrix) -> float:
+def _search_radius(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix) -> float:
     # the optimal selector's declared bound: every maximiser lies within this
     # radius, as beyond it the quadratic penalty dominates the payoff gain:
     # f(x+y) - f(x) <= L ||y|| while <y sigma^{-1}, y>/(2 sqrt A) >= ||y||^2/(2 sqrt A lam_max)
@@ -286,11 +254,11 @@ def _meet(p, q) -> float:
 
 
 def _sup_convolve_batch(
-    payoff: Payoff, a_risk: float, sigma: SpdMatrix, x: np.ndarray
+    payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (n,) and argmaxes (n, d) of the transform at (n, d) points, exactly."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(payoff, BasketCall):
+    if payoff.is_call:
         shift = payoff.a @ sigma.entries * math.sqrt(a_risk)
         inflated = x @ payoff.a + inflated_strike(payoff, a_risk, sigma)
         vals = np.maximum(inflated, 0.0)
@@ -305,12 +273,13 @@ def _sup_convolve_batch(
     return pieces[np.arange(len(x)), best], ys
 
 
-def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
+def sup_convolve(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix, x):
     """Inflated payoff sup_y [f(x+y) - <y sigma^{-1}, y>/(2 sqrt(a_risk))].
 
     This is the effective claim in the small-impact scaling limit, exact in
-    any d.  Basket calls use the closed form (<a,x> + :func:`inflated_strike`)^+.
-    A ridge payoff h(<a,x> + b), h(y) = max_i(s_i y + beta_i), inflates to
+    any d.  The basket call (``is_call``) takes the closed form
+    (<a,x> + :func:`inflated_strike`)^+.  Any other ridge payoff
+    h(<a,x> + b), h(y) = max_i(s_i y + beta_i), inflates to
     g(x) = max_i(s_i r + beta_i + c s_i^2/2) at r = <a,x> + b,
     c = sqrt(a_risk) <a sigma, a>, because the sup of a max is the max of the
     per-piece sups.  Always >= f(x).
@@ -323,15 +292,15 @@ def sup_convolve(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x):
     return vals if batch else float(vals[0])
 
 
-def sup_convolve_argmax(payoff: Payoff, a_risk: float, sigma: SpdMatrix, x) -> np.ndarray:
+def sup_convolve_argmax(payoff: RidgePayoff, a_risk: float, sigma: SpdMatrix, x) -> np.ndarray:
     """A displacement y achieving the inflated payoff exactly.
 
-    For basket calls returns sqrt(a_risk) * a sigma on the inflated-positive
-    branch and 0 otherwise (ties at the kink resolve to 0, which keeps the
-    selector bounded and measurable).  Ridge payoffs return
-    sqrt(a_risk) s_i a sigma of their winning piece, the smaller slope at a
-    kink.  ``x`` is one point (d,) or a batch (m, d); the result is (d,) or
-    (m, d).
+    The basket call (``is_call``) returns sqrt(a_risk) * a sigma on the
+    inflated-positive branch and 0 otherwise (ties at the kink resolve to 0,
+    which keeps the selector bounded and measurable).  Any other ridge
+    payoff returns sqrt(a_risk) s_i a sigma of its winning piece, the
+    smaller slope at a kink.  ``x`` is one point (d,) or a batch (m, d); the
+    result is (d,) or (m, d).
     """
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")

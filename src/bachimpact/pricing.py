@@ -5,12 +5,12 @@ The claim price is
 
     u(t, x) = E[ g(x + W_{T-t} sigma) ],
 
-with g the inflated payoff from :mod:`bachimpact.market`.  Both payoff kinds
-are priced in closed form in any d: basket calls by the normal-model formula,
-and a ridge payoff, whose g is piecewise linear in r = <a, x> + b, as g plus
-one out-of-the-money Bachelier option per knot of g.  For s the basket
-direction's vol, m the moneyness of the inflated strike, the basket call's
-closed form is the usual arithmetic-model pair
+with g the inflated payoff from :mod:`bachimpact.market`.  Every payoff is a
+ridge payoff, priced in closed form in any d: g is piecewise linear in
+r = <a, x> + b, so u is g plus one out-of-the-money Bachelier option per
+knot of g.  The basket call (``is_call``) keeps its own form of the same
+value: for s the basket direction's vol and m the moneyness of the
+inflated strike, the usual arithmetic-model pair
 
     u = s * (m * Phi(m) + phi(m)),        delta = a * Phi(m).
 
@@ -36,8 +36,7 @@ from .errors import (
 from .linalg import quad_form, row_vec_mul
 from .market import (
     BachelierModel,
-    BasketCall,
-    Payoff,
+    RidgePayoff,
     _as_points,
     _ridge_hull,
     inflated_strike,
@@ -194,7 +193,7 @@ def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
     return g + np.sum(np.diff(slopes) * otm, axis=1)
 
 
-def price_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, rule=None):
+def price_u(a_risk: float, model: BachelierModel, payoff: RidgePayoff, t: float, x, rule=None):
     """Price of the inflated claim at time t and (shifted) spot x.
 
     Integrates the inflated payoff over the Gaussian increment to maturity
@@ -210,7 +209,7 @@ def price_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, r
     points, batch = _as_points(x)
     if t == model.T:
         vals = sup_convolve(payoff, a_risk, model.sigma, points)
-    elif isinstance(payoff, BasketCall):
+    elif payoff.is_call:
         vals = _basket_price(a_risk, model, payoff, t, points)
     else:
         vals = _ridge_price(a_risk, model, payoff, t, points)
@@ -220,15 +219,15 @@ def price_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, r
 def _closed_form_delta_factory(a_risk, model, payoff):
     """Delta evaluator (t, (m, d) spots) -> (m, d), built once per payoff.
 
-    Zeros for a claim with Lipschitz constant 0, a * Phi(m) for basket calls,
-    for ridge payoffs the derivative of :func:`_ridge_price`,
+    Zeros for a claim with Lipschitz constant 0, a * Phi(m) for the basket
+    call, for any other ridge payoff the derivative of :func:`_ridge_price`,
     a (s_1 + sum_j (s_{j+1} - s_j) Phi((r - knots_j) / s)).
     """
     if payoff.lipschitz_constant == 0.0:
         def zero_delta(t, x):
             return np.zeros_like(x)
         return zero_delta
-    if isinstance(payoff, BasketCall):
+    if payoff.is_call:
         a = payoff.a
         strike = inflated_strike(payoff, a_risk, model.sigma)
         v = a @ model.sigma.entries
@@ -251,12 +250,12 @@ def _closed_form_delta_factory(a_risk, model, payoff):
     return ridge_delta
 
 
-def delta_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, rule=None):
+def delta_u(a_risk: float, model: BachelierModel, payoff: RidgePayoff, t: float, x, rule=None):
     """Spatial gradient of the claim price, exact for t < T.
 
     Zeros for a claim with Lipschitz constant 0, the closed form a * Phi(m)
-    for basket calls, for ridge payoffs the exact derivative of their price
-    in any d.  ``x`` is one point (d,), giving (d,), or a batch (m, d),
+    for the basket call, for any other ridge payoff the exact derivative of
+    its price in any d.  ``x`` is one point (d,), giving (d,), or a batch (m, d),
     giving (m, d).
     """
     # rule is unused: kept because bench/test_bench.py passes one positionally
@@ -267,15 +266,7 @@ def delta_u(a_risk: float, model: BachelierModel, payoff: Payoff, t: float, x, r
     return grads if batch else grads[0]
 
 
-def pde_residual(
-    a_risk: float,
-    model: BachelierModel,
-    payoff: Payoff,
-    t: float,
-    x,
-    fd_step_t: float = 1e-3,
-    fd_step_x: Optional[float] = None,
-) -> float:
+def pde_residual(a_risk: float, model: BachelierModel, payoff: RidgePayoff, t: float, x) -> float:
     """Finite-difference estimate of du/dt + tr(sigma^2 D^2 u)/2.
 
     The claim price solves the backward heat equation in the volatility
@@ -283,10 +274,11 @@ def pde_residual(
     A residual whose second differences can lose more than PDE_ROUNDING to
     rounding, 4 eps |u| / hx^2, says nothing and raises NonFiniteResultError.
     """
+    fd_step_t = 1e-3
     if t > model.T - 10.0 * fd_step_t:
         raise InvalidTimeError("too close to maturity for the time difference")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    hx = fd_step_x if fd_step_x is not None else 1e-3 * (1.0 + float(np.linalg.norm(x)))
+    hx = 1e-3 * (1.0 + float(np.linalg.norm(x)))
 
     def u(tt, xx):
         return price_u(a_risk, model, payoff, tt, xx)
@@ -329,7 +321,7 @@ def pde_residual(
 def limit_value(
     a_risk: float,
     model: BachelierModel,
-    payoff: Payoff,
+    payoff: RidgePayoff,
     phi0,
 ) -> float:
     """Scaling limit of the certainty equivalent for initial inventory phi0.
@@ -341,7 +333,7 @@ def limit_value(
     return indifference_limit(a_risk, model, payoff, phi0) + inventory
 
 
-def indifference_limit(a_risk: float, model: BachelierModel, payoff: Payoff, phi0) -> float:
+def indifference_limit(a_risk: float, model: BachelierModel, payoff: RidgePayoff, phi0) -> float:
     """Scaling limit of the indifference price: the claim-price term alone."""
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     shifted = model.s0 - math.sqrt(a_risk) * row_vec_mul(phi0, model.sigma.entries)

@@ -1,10 +1,12 @@
 """Slow, independent references that the package's exact forms are tested against.
 
-The package inflates and prices only basket calls and ridge payoffs, each
-in closed form.  These references assume none of that: a bounded-ball grid
-search inflates any Lipschitz payoff, a quadrature rule integrates the
-inflated claim at every spot, and central finite differences of the price
-give its delta.  Nothing in the package calls them.
+The package inflates and prices only ridge payoffs (the basket call among
+them), each in closed form.  These references assume none of that: a
+bounded-ball grid search inflates any Lipschitz payoff, a quadrature rule
+integrates the inflated claim at every spot, and central finite differences
+of the price give its delta.  A fresh Philox generator per key is the
+reference for the engine's re-keyed streams.  Nothing in the package calls
+them.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from bachimpact import BudgetExceededError, InvalidParameterError, inverse, price_u
 from bachimpact.config import GENERIC_PAYOFFS
@@ -25,6 +28,11 @@ from bachimpact.pricing import NODE_BUDGET
 
 # each refinement round searches a grid this much narrower around the best point
 SEARCH_SHRINK = 0.2
+
+
+def philox_stream(*key: int) -> Generator:
+    """A freshly built counter-based Philox generator keyed by ``key``."""
+    return Generator(Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

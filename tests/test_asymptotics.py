@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad as scipy_quad
 
 from bachimpact import (
@@ -22,7 +26,24 @@ from bachimpact import (
     optimal_dual_Y,
 )
 from bachimpact.asymptotics import LAM_DESK_FLOOR
+from bachimpact.cli import main
 from oracle import zero_claim
+
+DUAL_D4_SIGMA = [1.0, 0.2, 0.1, 0.0, 0.2, 0.8, 0.2, 0.1, 0.1, 0.2, 1.2, 0.3, 0.0, 0.1, 0.3, 0.9]
+# an at-the-money d = 4 basket call
+DUAL_D4 = f"""
+model.d = 4
+model.s0 = 8.0 7.0 9.0 6.0
+model.sigma = {" ".join(map(str, DUAL_D4_SIGMA))}
+model.T = 1.0
+payoff.kind = basket_call
+payoff.a = 0.4 0.3 0.2 0.1
+payoff.b = -7.7
+impact.a_risk = 1.0
+dual.n_random_specs = 2
+numerics.seed = 20260810
+"""
+DUAL_D4_SHA256 = "9784543d327fee20fc98756d038b9c49a7758f7e9227d9a4009b78d913c486bc"
 
 
 class _Zero:
@@ -149,11 +170,26 @@ class TestDualLowerBound:
             value, _ = dual_lower_bound(1.0, atm_model, atm_call, [0.0], spec)
             assert value <= limit + 1e-5
 
-    def test_monte_carlo_branch(self, atm_model, atm_call, call_oracle):
-        spec = DualSpec(h=_Zero(), bounded=True, bound=0.0, name="zero")
-        value, se = dual_lower_bound(1.0, atm_model, atm_call, [0.0], spec, 40_000, seed=3)
+    def test_monte_carlo_branch(self, tmp_path, call_oracle):
+        # d = 4 has no default rule, so the dual samples antithetic normals:
+        # the zero selector's bound is the plain d = 4 Bachelier call price
+        cfg = tmp_path / "dual4.cfg"
+        cfg.write_text(DUAL_D4)
+        out = tmp_path / "dual4.csv"
+        assert main(["dual", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        value, se = map(float, dict((r[0], r[1:]) for r in rows[1:])["zero"])
+        a, s0 = np.array([0.4, 0.3, 0.2, 0.1]), np.array([8.0, 7.0, 9.0, 6.0])
+        sigma = np.array(DUAL_D4_SIGMA).reshape(4, 4)
+        spread = float(np.linalg.norm(a @ sigma))
         assert se > 0.0
-        assert abs(value - call_oracle(0.0)) < 4.0 * se + 1e-3
+        assert abs(value - spread * call_oracle((a @ s0 - 7.7) / spread)) < 4.0 * se
+        golden = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
+        if (np.__version__, scipy.__version__) != (golden["numpy"], golden["scipy"]):
+            pytest.skip("the d = 4 digest was recorded with the golden numpy/scipy versions")
+        # the bytes this CSV had before the dual's one-off stream went through
+        # market.substreams
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DUAL_D4_SHA256
 
     def test_bound_violation_warns(self, atm_model, atm_call):
         spec = DualSpec(h=_Constant([2.0]), bounded=True, bound=0.5, name="liar")

@@ -284,6 +284,27 @@ NON_FINITE_CASES = [
 ]
 
 
+class TestOneCallRepresentation:
+    @pytest.mark.parametrize("command", ["price", "figure", "dual"])
+    @pytest.mark.parametrize("config", ["figure1.cfg", "dual_atm.cfg"])
+    def test_both_routes_to_the_call_write_the_same_rows(self, config, command, tmp_path):
+        # payoff.kind = basket_call and the generic registry's basket_call
+        # build one payoff, so every digit of every row agrees
+        text = (CONFIG_DIR / config).read_text() + "\noutput.precision = 17\n"
+        generic = text.replace(
+            "payoff.kind = basket_call", "payoff.kind = generic\npayoff.name = basket_call"
+        )
+        assert generic != text
+        bodies = []
+        for i, route in enumerate((text, generic)):
+            cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.csv"
+            cfg.write_text(route)
+            assert run_cli([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+            lines = out.read_text().splitlines()
+            bodies.append([l for l in lines if not l.startswith("# config_hash=")])
+        assert bodies[0] == bodies[1]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("key,text", NON_FINITE_CASES)
     def test_rejected_with_key_named(self, key, text, tmp_path, capsys):

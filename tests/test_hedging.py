@@ -28,9 +28,9 @@ from bachimpact import (
     wealth_by_parts,
 )
 from bachimpact import cli, hedging, market
-from bachimpact.market import inflated_strike, substream
+from bachimpact.market import inflated_strike
 from bachimpact.pricing import limit_value
-from oracle import zero_claim
+from oracle import philox_stream, zero_claim
 
 
 class TestStepScaling:
@@ -432,7 +432,7 @@ def _matrix_reference(a_risk, lams, model, payoff, phi0, grid, n_paths, seed, th
     Returns one :class:`HedgeBatch` per impact and the first impact's knots.
     """
     n, h, d = grid.n_steps, grid.dt, model.d
-    draws = [brownian_increments(substream(seed, i), n, d) for i in range(n_paths)]
+    draws = [brownian_increments(philox_stream(seed, i), n, d) for i in range(n_paths)]
     dw = np.stack(draws, axis=1) * math.sqrt(h)
     sigma = model.sigma.entries
     relax = np.stack([step_matrix(a_risk, lam, model.sigma, h) for lam in lams])
@@ -564,9 +564,9 @@ class TestStackedImpacts:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"][name]
 
     def test_blocked_draws_continue_the_stream(self):
-        rng = substream(5, 3)
+        rng = philox_stream(5, 3)
         blocks = [brownian_increments(rng, rows, 2) for rows in (3, 3, 1)]
-        assert np.array_equal(np.vstack(blocks), brownian_increments(substream(5, 3), 7, 2))
+        assert np.array_equal(np.vstack(blocks), brownian_increments(philox_stream(5, 3), 7, 2))
 
     def test_pool_clamped_to_chunks_and_cpus(self, atm_model, atm_call, monkeypatch):
         sizes = []

@@ -20,14 +20,8 @@ from bachimpact import (
     sup_convolve_argmax,
 )
 from bachimpact.config import GENERIC_PAYOFFS
-from bachimpact.market import (
-    STREAM_PLACE_WORDS,
-    antithetic_normals,
-    stream_place,
-    substream,
-    substreams,
-)
-from oracle import GenericLipschitz, search, search_argmax, zero_claim
+from bachimpact.market import STREAM_PLACE_WORDS, stream_place, substreams
+from oracle import GenericLipschitz, philox_stream, search, search_argmax, zero_claim
 
 
 class TestTypes:
@@ -174,7 +168,7 @@ class TestSimulatePaths:
         grid = TimeGrid(n_steps=32, T=1.0)
         prices = recorded_prices(model, grid, 3, seed=11)
         for i in range(3):
-            dw = brownian_increments(substream(11, i), 32, 2) * math.sqrt(grid.dt)
+            dw = brownian_increments(philox_stream(11, i), 32, 2) * math.sqrt(grid.dt)
             w = np.vstack([np.zeros((1, 2)), np.cumsum(dw, axis=0)])
             expected = model.s0 + model.mu * grid.knots[:, None] + w @ sigma2.entries
             assert np.abs(prices[i] - expected).max() < 1e-12
@@ -183,19 +177,20 @@ class TestSimulatePaths:
         # every keyed draw is the Philox stream of its key, whatever the caller
         key = np.array([11, 2], dtype=np.uint64)
         direct = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 2))
-        assert np.array_equal(substream(11, 2).standard_normal((5, 2)), direct)
-        assert np.array_equal(brownian_increments(substream(11, 2), 5, 2), direct)
-        assert np.array_equal(antithetic_normals((11, 2), 5, 2), np.vstack([direct, -direct]))
+        assert np.array_equal(substreams(11)(2).standard_normal((5, 2)), direct)
+        assert np.array_equal(brownian_increments(substreams(11)(2), 5, 2), direct)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_rekeyed_streams_equal_substreams(self, seed):
-        # one generator re-keyed per index draws substream(seed, index) bit for
-        # bit, whatever it drew before: left mid-buffer with a cached uint32
+        # one generator re-keyed per index draws the fresh generator keyed
+        # (seed, index) bit for bit, whatever it drew before: left mid-buffer
+        # with a cached uint32
         streams = substreams(seed)
         streams(1).integers(0, 2**31, size=3, dtype=np.uint32)
         for index in (2**32 + 5, 0, 3, 2**64 - 1):
             got = brownian_increments(streams(index), 7, 2)
-            assert np.array_equal(got, brownian_increments(substream(seed, index), 7, 2)), index
+            want = brownian_increments(philox_stream(seed, index), 7, 2)
+            assert np.array_equal(got, want), index
 
     def test_saved_place_resumes_the_stream(self):
         streams = substreams(7)
@@ -205,14 +200,14 @@ class TestSimulatePaths:
         stream_place(rng, place)
         streams(3).standard_normal(11)
         tail = brownian_increments(streams(2**40, place), 4, 1)
-        whole = brownian_increments(substream(7, 2**40), 9, 1)
+        whole = brownian_increments(philox_stream(7, 2**40), 9, 1)
         assert np.array_equal(np.vstack([head, tail]), whole)
 
     def test_increments_drawn_in_place(self):
         out = np.empty((6, 2))
-        got = brownian_increments(substream(11, 2), 6, 2, out=out)
+        got = brownian_increments(philox_stream(11, 2), 6, 2, out=out)
         assert np.shares_memory(got, out)
-        assert np.array_equal(out, brownian_increments(substream(11, 2), 6, 2))
+        assert np.array_equal(out, brownian_increments(philox_stream(11, 2), 6, 2))
 
     def test_brownian_increment_scale(self, atm_model):
         grid = TimeGrid(n_steps=4, T=1.0)

@@ -50,6 +50,15 @@ def ridge(name, a, b):
     return RidgePayoff(a, b, slopes, intercepts, name=name)
 
 
+def general_call(a, b):
+    """The basket call as a profile the general ridge code prices.
+
+    Its pieces are not exactly y^+'s, so ``is_call`` is false, but the extra
+    flat piece -1 is nowhere on top: the claim is the call's.
+    """
+    return RidgePayoff(a, b, (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
+
+
 def exact_claim(name, r, c):
     """G(r) = sup_z h(r + z) - z^2/(2c), written out per profile."""
     if name == "basket_call":
@@ -154,9 +163,9 @@ class TestRidgeTransform:
             assert abs(attained(payoff, a_risk, sigma, x, y) - best) <= rounding
 
     def test_kink_takes_the_smaller_slope(self, sigma1):
-        # ties resolve to the lower piece: 0 for the call, as BasketCall's selector does
-        # (A = 4: c/2 = 1 exactly, so both kinks are exact ties)
-        call, strad = ridge("basket_call", [1.0], -8.0), ridge("straddle", [1.0], -8.0)
+        # ties resolve to the lower piece: 0 for the call, as the call's closed
+        # form does (A = 4: c/2 = 1 exactly, so both kinks are exact ties)
+        call, strad = general_call([1.0], -8.0), ridge("straddle", [1.0], -8.0)
         assert sup_convolve_argmax(call, 4.0, sigma1, [7.0])[0] == 0.0
         assert sup_convolve_argmax(BasketCall([1.0], -8.0), 4.0, sigma1, [7.0])[0] == 0.0
         assert sup_convolve_argmax(strad, 4.0, sigma1, [8.0])[0] == -2.0
@@ -166,7 +175,7 @@ class TestRidgePricing:
     @settings(max_examples=24, deadline=None, derandomize=True)
     @given(ridge_market(), st.sampled_from(sorted(SHAPES)), st.floats(0.0, 0.9), st.booleans())
     def test_price_delta_match_closed_form(self, reference, market, name, t, with_rule):
-        # exact to rounding, and a passed rule is ignored as for BasketCall
+        # exact to rounding, and a passed rule is ignored
         a_risk, sigma, a, b, spots = market
         d = sigma.dim
         model = BachelierModel(s0=spots[0], mu=np.zeros(d), sigma=sigma, T=1.0)
@@ -182,10 +191,11 @@ class TestRidgePricing:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(ridge_market(), st.floats(0.0, 0.9))
     def test_basket_wrapper_matches_basket_call(self, market, t):
+        # the general ridge code stays an oracle for the call's closed forms
         a_risk, sigma, a, b, spots = market
         d = sigma.dim
         model = BachelierModel(s0=spots[0], mu=np.zeros(d), sigma=sigma, T=1.0)
-        wrapper, call = GENERIC_PAYOFFS["basket_call"](a, b), BasketCall(a=a, b=b)
+        wrapper, call = general_call(a, b), BasketCall(a=a, b=b)
         for fn in (price_u, delta_u):
             gap = fn(a_risk, model, wrapper, t, spots) - fn(a_risk, model, call, t, spots)
             assert np.abs(gap).max() < 1e-6
@@ -199,7 +209,7 @@ class TestRidgePricing:
         grid = TimeGrid(n_steps=32, T=1.0)
         wrapped, closed = (
             certainty_equivalent_mc(a_risk, 0.2, model, payoff, np.zeros(d), 64, grid, seed)
-            for payoff in (GENERIC_PAYOFFS["basket_call"](a, b), BasketCall(a=a, b=b))
+            for payoff in (general_call(a, b), BasketCall(a=a, b=b))
         )
         assert abs(wrapped.value - closed.value) <= closed.std_error
 
@@ -211,16 +221,16 @@ class TestRidgePricing:
         grid = TimeGrid(n_steps=64, T=1.0)
         wrapped, closed = (
             hedge_paths(1.3, 0.1, model, payoff, np.zeros(d), grid, 32, 11)
-            for payoff in (GENERIC_PAYOFFS["basket_call"](a, b), BasketCall(a=a, b=b))
+            for payoff in (general_call(a, b), BasketCall(a=a, b=b))
         )
         assert np.abs(wrapped.targets - closed.targets).max() <= 1e-12
         assert np.abs(wrapped.positions - closed.positions).max() <= 1e-12
 
     def test_projected_rule_keeps_its_accuracy(self, model2):
-        # a d-dim rule passed in no longer touches a ridge price: the exact
-        # value, equal to the basket call's closed form
+        # a d-dim rule passed in no longer touches a ridge price: the general
+        # code's exact value, equal to the basket call's closed form
         a = np.array([1.0, 0.5])
-        ridge_call, call = GENERIC_PAYOFFS["basket_call"](a, -11.0), BasketCall(a=a, b=-11.0)
+        ridge_call, call = general_call(a, -11.0), BasketCall(a=a, b=-11.0)
         rule = build_gauss_hermite(12, 2)
         x = np.array([8.3, 5.7])
         on_rule = price_u(1.2, model2, ridge_call, 0.3, x, rule)
@@ -292,9 +302,34 @@ class TestTable:
         assert payoff.evaluate(np.array([[0.5], [3.0]])).tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize(
-        "slopes,intercepts",
-        [([1.5], [0.0]), ([0.0, float("nan")], [0.0, 0.0]), ([1.0], [float("inf")])],
+        "build",
+        [
+            pytest.param(lambda: RidgePayoff([1.0], 0.0, [1.5], [0.0]), id="steep-slope"),
+            pytest.param(
+                lambda: RidgePayoff([1.0], 0.0, [0.0, float("nan")], [0.0, 0.0]), id="nan-slope"
+            ),
+            pytest.param(
+                lambda: RidgePayoff([1.0], 0.0, [1.0], [float("inf")]), id="inf-intercept"
+            ),
+            # the basket call takes the profile's finiteness check
+            pytest.param(lambda: BasketCall(a=[float("nan")], b=0.0), id="nan-call-weight"),
+            pytest.param(lambda: BasketCall(a=[1.0], b=float("inf")), id="inf-call-strike"),
+        ],
     )
-    def test_invalid_profile_refused(self, slopes, intercepts):
+    def test_invalid_profile_refused(self, build):
         with pytest.raises(InvalidParameterError):
-            RidgePayoff([1.0], 0.0, slopes, intercepts)
+            build()
+
+    def test_call_flag(self):
+        # only pieces that are exactly y^+'s take the call's closed forms
+        calls = (
+            BasketCall(a=[1.0], b=-8.0),
+            GENERIC_PAYOFFS["basket_call"]([1.0], -8.0),
+            RidgePayoff([0.5, 0.5], -1.0, (1.0, 0.0), (0.0, 0.0)),  # sorted on entry
+        )
+        for payoff in calls:
+            assert payoff.is_call
+            assert pickle.loads(pickle.dumps(payoff)).is_call
+        for name in ("zero", "straddle"):
+            assert not GENERIC_PAYOFFS[name](np.array([1.0]), -8.0).is_call
+        assert not general_call([1.0], -8.0).is_call
