@@ -175,8 +175,7 @@ class TestSimulatePaths:
 
     def test_substream_keys(self):
         # every keyed draw is the Philox stream of its key, whatever the caller
-        key = np.array([11, 2], dtype=np.uint64)
-        direct = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 2))
+        direct = philox_stream(11, 2).standard_normal((5, 2))
         assert np.array_equal(substreams(11)(2).standard_normal((5, 2)), direct)
         assert np.array_equal(brownian_increments(substreams(11)(2), 5, 2), direct)
 
