@@ -9,6 +9,7 @@ bounds the limit from below, with equality at the optimal selector.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -150,11 +151,11 @@ def dual_lower_bound(
     model: BachelierModel,
     payoff: RidgePayoff,
     phi0,
-    spec: DualSpec,
+    spec: DualSpec | Sequence[DualSpec],
     rule: QuadratureRule | None = None,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Value of the dual functional for one selector.
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Value of the dual functional at one selector or at each of several.
 
     Expectation over the terminal Brownian value of
 
@@ -165,37 +166,52 @@ def dual_lower_bound(
     default rule (d <= 3), it reports the half-resolution refinement gap as
     its tolerance.  Without one (d >= 4) it draws DUAL_MC_SAMPLES antithetic
     normals from the stream ``(seed, 0xD0A1)``, so the odd sample moments
-    vanish exactly, and reports a standard error.
+    vanish exactly, and reports a standard error.  ``spec`` is one selector,
+    giving one ``(value, tol)``, or a sequence of selectors, giving one pair
+    per selector in order: each node set, and its s0 + w sigma, is then
+    built once for all of them, and the sample is drawn once per call.
     """
     if a_risk <= 0.0:
         raise InvalidParameterError("a_risk must be positive")
+    many = not isinstance(spec, DualSpec)
+    specs = list(spec) if many else [spec]
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
+    sig_inv = inverse(model.sigma).entries
+    scale = 2.0 * math.sqrt(a_risk)
+
+    def terms(z: np.ndarray):
+        """The integrand at each selector in turn, on standard normal nodes z."""
+        w_terminal = math.sqrt(model.T) * z
+        base = model.s0[None, :] + w_terminal @ model.sigma.entries
+        for s in specs:
+            y = s.displacements(w_terminal)
+            payoff_vals = np.asarray(payoff.evaluate(base - y), dtype=float)
+            yield payoff_vals + y @ phi0 - _penalty(y, sig_inv) / scale
+
+    def on_rule(r: QuadratureRule) -> list[float]:
+        # a fixed-order sum: a BLAS dot rounds differently with its thread count
+        return [float(np.sum(r.weights * t)) for t in terms(r.nodes)]
+
     rule = rule if rule is not None else default_quadrature(model.d)
     if rule is not None:
-        value = _dual_on_rule(a_risk, model, payoff, phi0, spec, rule)
-        coarse = _dual_on_rule(a_risk, model, payoff, phi0, spec, coarsen_rule(rule))
-        return value, abs(value - coarse)
-
-    half = substreams(seed)(0xD0A1).standard_normal((DUAL_MC_SAMPLES // 2, model.d))
-    z = np.vstack([half, -half])
-    terms = _dual_terms(a_risk, model, payoff, phi0, spec, math.sqrt(model.T) * z)
-    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
-
-
-def _dual_on_rule(a_risk, model, payoff, phi0, spec, rule) -> float:
-    w_terminal = math.sqrt(model.T) * rule.nodes
-    terms = _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal)
-    # a fixed-order sum: a BLAS dot rounds differently with its thread count
-    return float(np.sum(rule.weights * terms))
+        coarse = on_rule(coarsen_rule(rule))
+        results = [(value, abs(value - c)) for value, c in zip(on_rule(rule), coarse)]
+    else:
+        half = substreams(seed)(0xD0A1).standard_normal((DUAL_MC_SAMPLES // 2, model.d))
+        results = [
+            (float(t.mean()), float(t.std(ddof=1) / math.sqrt(len(t))))
+            for t in terms(np.vstack([half, -half]))
+        ]
+    return results if many else results[0]
 
 
-def _dual_terms(a_risk, model, payoff, phi0, spec, w_terminal) -> np.ndarray:
-    y = spec.displacements(w_terminal)
-    sig_inv = inverse(model.sigma).entries
-    points = model.s0[None, :] + w_terminal @ model.sigma.entries - y
-    payoff_vals = np.asarray(payoff.evaluate(points), dtype=float)
-    penalty = np.einsum("ij,jk,ik->i", y, sig_inv, y) / (2.0 * math.sqrt(a_risk))
-    return payoff_vals + y @ phi0 - penalty
+def _penalty(y: np.ndarray, sig_inv: np.ndarray) -> np.ndarray:
+    """Row-wise <y, y sig_inv>, summed in ``np.einsum("ij,jk,ik->i")``'s
+    order so it keeps its bits: j outside, k inside, each term (y_j s_jk) y_k,
+    the sum starting from the first term."""
+    cols = np.ascontiguousarray(y.T)
+    terms = ((cols[j] * sig_inv[j, k]) * cols[k] for j, k in np.ndindex(sig_inv.shape))
+    return functools.reduce(np.add, terms)
 
 
 def optimal_dual_Y(a_risk: float, model: BachelierModel, payoff: RidgePayoff, phi0) -> DualSpec:

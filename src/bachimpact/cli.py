@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation or invariant failure, 2 numeric failure
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -240,10 +241,10 @@ def cmd_dual(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     lines = _header(cfg)
     lines.append("spec_name,lower_bound,se_or_tol")
     p = cfg.precision
-    for spec in specs:
-        value, err = asymptotics.dual_lower_bound(
-            cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, spec, rule, seed=cfg.seed
-        )
+    bounds = asymptotics.dual_lower_bound(
+        cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0, specs, rule, seed=cfg.seed
+    )
+    for spec, (value, err) in zip(specs, bounds):
         lines.append(f"{spec.name},{_fmt(value, p)},{_fmt(err, p)}")
     _emit(lines, cfg, out)
     return EXIT_OK
@@ -370,6 +371,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bachimpact",

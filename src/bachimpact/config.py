@@ -217,8 +217,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
     if n_steps != "auto" and n_steps < 1:
         raise ConfigError("numerics.n_steps must be 'auto' or >= 1")
     quad_m = merged["numerics.quad_m"]
-    if quad_m != "auto" and quad_m < 2:
-        raise ConfigError("numerics.quad_m must be 'auto' or >= 2")
+    if quad_m != "auto" and quad_m < 3:  # a 2-node rule has no coarser companion
+        raise ConfigError("numerics.quad_m must be 'auto' or >= 3")
     workers = merged["numerics.workers"]
     if workers < 1:
         raise ConfigError("numerics.workers must be >= 1")

@@ -123,7 +123,9 @@ def build_normal_panel(
 def coarsen_rule(rule: QuadratureRule) -> QuadratureRule:
     """Companion rule at half resolution, for self-estimated tolerances.
 
-    Built once per ``rule.tag`` and cached, with read-only arrays.
+    Built once per ``rule.tag`` and cached, with read-only arrays.  A 2-node
+    Gauss-Hermite or a 1-panel rule has no coarser companion and is refused:
+    the rule itself would stand in for it and report a tolerance of 0.
     """
     return _coarse_rule(rule.tag)
 
@@ -136,6 +138,8 @@ def _coarse_rule(tag: tuple) -> QuadratureRule:
     else:
         _, n_panels, order, radius, d = tag
         rule = build_normal_panel(max(1, n_panels // 2), order, d, radius)
+    if rule.tag == tag:
+        raise InvalidParameterError(f"the rule {tag} has no coarser companion")
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule

@@ -10,9 +10,11 @@ from scipy.integrate import quad as scipy_quad
 
 from bachimpact import (
     BachelierModel,
+    BasketCall,
     DualSpec,
     SingularDenominatorError,
     TimeGrid,
+    build_gauss_hermite,
     certainty_equivalent_mc,
     dual_lower_bound,
     inverse,
@@ -25,7 +27,7 @@ from bachimpact import (
     make_spd,
     optimal_dual_Y,
 )
-from bachimpact.asymptotics import LAM_DESK_FLOOR
+from bachimpact.asymptotics import LAM_DESK_FLOOR, _penalty
 from bachimpact.cli import main
 from oracle import zero_claim
 
@@ -44,6 +46,47 @@ dual.n_random_specs = 2
 numerics.seed = 20260810
 """
 DUAL_D4_SHA256 = "9784543d327fee20fc98756d038b9c49a7758f7e9227d9a4009b78d913c486bc"
+
+# the benchmark's d = 3 desk basket (weights, vols and correlations of
+# bench/DESIGN.md) at spot levels (8, 7, 9), its strike at the money
+D3_WEIGHTS = (0.5, 0.3, 0.2)
+D3_VOLS = (1.0, 0.9, 0.8)
+D3_RHO = ((1.0, 0.3, 0.2), (0.3, 1.0, 0.1), (0.2, 0.1, 1.0))
+D3_SIGMA = [D3_RHO[i][j] * math.sqrt(D3_VOLS[i] * D3_VOLS[j]) for i in range(3) for j in range(3)]
+D3_S0 = (8.0, 7.0, 9.0)
+D3_STRIKE = sum(w * s for w, s in zip(D3_WEIGHTS, D3_S0))
+DUAL_D3 = f"""
+model.d = 3
+model.s0 = {" ".join(map(repr, D3_S0))}
+model.sigma = {" ".join(map(repr, D3_SIGMA))}
+model.T = 1.0
+payoff.kind = basket_call
+payoff.a = {" ".join(map(repr, D3_WEIGHTS))}
+payoff.b = {-D3_STRIKE!r}
+impact.a_risk = 1.0
+impact.lambdas = 0.4 0.2 0.1
+hedge.phi0 = 0.0 0.0 0.0
+numerics.n_paths = 200
+numerics.seed = 20260810
+output.precision = 17
+"""
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# dual CSVs at every digit a double carries, recorded before the selectors
+# shared one pass per node set: the d = 1 golden run prints 9 digits and its
+# penalty has no off-diagonal terms, so it cannot see a d >= 2 reordering
+DUAL_P17 = {
+    "dual_atm": (
+        (CONFIG_DIR / "dual_atm.cfg").read_text() + "output.precision = 17\n",
+        "bf3cbc8814b92a2f6ac61d041a59dc6e08bd2b4a6447fd8628761dff0c709325",
+    ),
+    "desk_d3": (DUAL_D3, "54a5a2654de2118dc5c7ad083e35cae79eacec9882398ba024e3c711f983c7c9"),
+}
+
+
+def _skip_unless_golden_versions(what: str) -> None:
+    golden = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
+    if (np.__version__, scipy.__version__) != (golden["numpy"], golden["scipy"]):
+        pytest.skip(f"{what} was recorded with the golden numpy/scipy versions")
 
 
 class _Zero:
@@ -184,9 +227,7 @@ class TestDualLowerBound:
         spread = float(np.linalg.norm(a @ sigma))
         assert se > 0.0
         assert abs(value - spread * call_oracle((a @ s0 - 7.7) / spread)) < 4.0 * se
-        golden = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
-        if (np.__version__, scipy.__version__) != (golden["numpy"], golden["scipy"]):
-            pytest.skip("the d = 4 digest was recorded with the golden numpy/scipy versions")
+        _skip_unless_golden_versions("the d = 4 digest")
         # the bytes this CSV had before the dual's one-off stream went through
         # market.substreams
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DUAL_D4_SHA256
@@ -195,6 +236,77 @@ class TestDualLowerBound:
         spec = DualSpec(h=_Constant([2.0]), bounded=True, bound=0.5, name="liar")
         with pytest.warns(RuntimeWarning):
             dual_lower_bound(1.0, atm_model, atm_call, [0.0], spec)
+
+
+class _Tanh:
+    def __init__(self, amp, freq, phase):
+        self.amp, self.freq, self.phase = amp, freq, phase
+
+    def __call__(self, w):
+        return self.amp * np.tanh(self.freq * w + self.phase)
+
+
+def _market(d):
+    """(model, payoff, phi0) of the batched-dual case in dimension ``d``."""
+    if d == 4:
+        sigma = make_spd(np.array(DUAL_D4_SIGMA).reshape(4, 4))
+        s0, a, b, phi0 = [8.0, 7.0, 9.0, 6.0], [0.4, 0.3, 0.2, 0.1], -7.7, [0.1, 0.0, -0.2, 0.3]
+    elif d == 3:
+        sigma = make_spd(np.array(D3_SIGMA).reshape(3, 3))
+        s0, a, b, phi0 = D3_S0, D3_WEIGHTS, -D3_STRIKE, [0.2, -0.1, 0.3]
+    elif d == 2:
+        sigma = make_spd([[1.0, 0.3], [0.3, 2.0]])
+        s0, a, b, phi0 = [8.0, 6.0], [1.0, 0.5], -10.0, [0.4, -0.2]
+    else:
+        sigma = make_spd([[1.0]])
+        s0, a, b, phi0 = [8.0], [1.0], -8.0, [0.3]
+    model = BachelierModel(s0=s0, mu=np.zeros(d), sigma=sigma, T=1.0)
+    return model, BasketCall(a=a, b=b), phi0
+
+
+class TestBatchedDual:
+    @pytest.mark.parametrize(
+        "d,hermite_m", [(1, None), (2, None), (3, None), (2, 9), (4, None)],
+        ids=["d1-default", "d2-default", "d3-default", "d2-hermite", "d4-monte-carlo"],
+    )
+    def test_sequence_equals_one_call_per_selector(self, d, hermite_m):
+        model, payoff, phi0 = _market(d)
+        rule = build_gauss_hermite(hermite_m, d) if hermite_m else None
+        rng = np.random.default_rng(d)
+        specs = [
+            DualSpec(h=_Zero(), bounded=True, bound=0.0, name="zero"),
+            optimal_dual_Y(1.5, model, payoff, phi0),
+        ]
+        for _ in range(3):
+            amp = rng.uniform(0.1, 2.0, size=d)
+            tanh = _Tanh(amp, rng.uniform(0.2, 2.0, size=d), rng.uniform(-1.0, 1.0, size=d))
+            specs.append(DualSpec(h=tanh, bounded=True, bound=float(np.linalg.norm(amp))))
+        batched = dual_lower_bound(1.5, model, payoff, phi0, specs, rule, seed=11)
+        singles = [dual_lower_bound(1.5, model, payoff, phi0, s, rule, seed=11) for s in specs]
+        assert batched == singles
+        assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in singles)
+        assert len({pair[0] for pair in singles}) == len(specs)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_penalty_keeps_einsum_bits(self, d):
+        rng = np.random.default_rng(40 + d)
+        a = rng.normal(size=(d, d))
+        sig_inv = inverse(make_spd(a @ a.T + 0.5 * np.eye(d))).entries
+        y = rng.normal(size=(100_000, d)) * rng.uniform(0.1, 3.0, size=d)
+        expected = np.einsum("ij,jk,ik->i", y, sig_inv, y)
+        assert np.array_equal(_penalty(y, sig_inv), expected)
+        if d >= 2:
+            # the comparison sees a reordering: another order moves some rows' bits
+            assert not np.array_equal(np.einsum("ij,ij->i", y @ sig_inv, y), expected)
+
+    @pytest.mark.parametrize("name", sorted(DUAL_P17))
+    def test_full_precision_csv_keeps_its_bytes(self, name, tmp_path):
+        text, digest = DUAL_P17[name]
+        cfg, out = tmp_path / "dual.cfg", tmp_path / "dual.csv"
+        cfg.write_text(text)
+        assert main(["dual", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        _skip_unless_golden_versions(f"the {name} digest")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestOptimalSelector:

@@ -250,6 +250,16 @@ class TestCli:
         for name, (value, _) in rows.items():
             assert value <= limit + 1e-5
 
+    def test_dual_on_the_smallest_hermite_rule(self, tmp_path):
+        # 3 nodes per axis is the smallest rule with a coarser companion, so
+        # every row reports a tolerance; a 2-node rule is refused at load
+        cfg, out = tmp_path / "dual.cfg", tmp_path / "dual.csv"
+        cfg.write_text((CONFIG_DIR / "dual_atm.cfg").read_text() + "numerics.quad_m = 3\n")
+        assert run_cli(["dual", "--config", cfg, "--out", out]) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(body) == 1 + 2 + 20
+        assert all(float(l.split(",")[2]) > 0.0 for l in body[1:])
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(MINIMAL.replace("model.sigma = 1.0", "model.sigma = -2.0"))
@@ -438,6 +448,7 @@ OUT_OF_RANGE_CASES = [
     ("config", "output.precision", "0"),
     ("config", "output.precision", "18"),
     ("config", "output.precision", str(2**31)),
+    ("config", "numerics.quad_m", "2"),
 ]
 
 

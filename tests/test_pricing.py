@@ -6,6 +6,7 @@ from bachimpact import (
     BachelierModel,
     BasketCall,
     BudgetExceededError,
+    InvalidParameterError,
     InvalidTimeError,
     build_gauss_hermite,
     build_normal_panel,
@@ -87,6 +88,17 @@ class TestNormalPanel:
         rule = build_normal_panel(100, 8, 1)
         coarse = coarsen_rule(rule)
         assert coarse.tag[1] == 50
+
+    @pytest.mark.parametrize(
+        "rule",
+        [build_gauss_hermite(2, 1), build_gauss_hermite(2, 3), build_normal_panel(1, 8, 2)],
+        ids=["hermite-2-d1", "hermite-2-d3", "panel-1-d2"],
+    )
+    def test_coarsen_refuses_a_rule_without_a_coarser_companion(self, rule):
+        # the companion would be the rule itself and certify a tolerance of 0
+        with pytest.raises(InvalidParameterError, match="no coarser companion"):
+            coarsen_rule(rule)
+        assert coarsen_rule(build_gauss_hermite(3, rule.d)).tag == ("hermite", 2, rule.d)
 
 
 class TestPriceU:
