@@ -4,7 +4,8 @@ hyperbolic kernel family with its small-impact limits.
 The two sides of the scaling limit are checked from here: the Monte Carlo
 certainty equivalent along the tracking hedge approaches the limit from the
 primal side, while the dual functional evaluated at any bounded selector
-bounds the limit from below, with equality at the optimal selector.
+bounds the limit from below, with equality at the optimal selector; one
+call evaluates it at many selectors in one pass per node set.
 """
 
 from __future__ import annotations
