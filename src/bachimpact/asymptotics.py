@@ -23,7 +23,9 @@ from .errors import (
     OverflowGuardError,
     SingularDenominatorError,
 )
-from .linalg import SpdMatrix, from_spectrum, hyperbolic_ratio, inverse, row_vec_mul
+from .linalg import (
+    SpdMatrix, from_spectrum, hyperbolic_ratio, inverse, row_dot, row_sq_norms, row_vec_mul,
+)
 from .market import (
     BachelierModel,
     RidgePayoff,
@@ -68,7 +70,9 @@ class DualSpec:
     def displacements(self, w_terminal: np.ndarray) -> np.ndarray:
         y = np.asarray(self.h(w_terminal), dtype=float)
         if self.bounded and np.isfinite(self.bound):
-            worst = float(np.linalg.norm(y, axis=1).max(initial=0.0))
+            # the root of the largest squared norm is the largest norm, bit for bit in
+            # d <= 7; from d = 8 only where the warning starts can move
+            worst = math.sqrt(row_sq_norms(y).max(initial=0.0))
             if worst > self.bound * (1.0 + 1e-9) + 1e-12:
                 warnings.warn(
                     f"dual spec {self.name!r} exceeded its declared bound "
@@ -110,8 +114,11 @@ def certainty_equivalent_mc(
     impact this is an upper-bound proxy that converges to the limit value.
     ``lam`` is one impact, giving one :class:`CeEstimate`, or a sequence of
     impacts sharing ``grid``, giving one estimate per impact in order from
-    one pass over the same paths.
+    one pass over the same paths.  Fewer than 2 paths raise
+    :class:`InvalidParameterError`: one path has no standard error.
     """
+    if n_paths < 2:
+        raise InvalidParameterError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
     lams, many = _as_impacts(lam)
     for impact in lams:
         if impact <= 0.0 or a_risk <= 0.0:
@@ -187,7 +194,7 @@ def dual_lower_bound(
         for s in specs:
             y = s.displacements(w_terminal)
             payoff_vals = np.asarray(payoff.evaluate(base - y), dtype=float)
-            yield payoff_vals + y @ phi0 - _penalty(y, sig_inv) / scale
+            yield payoff_vals + row_dot(y, phi0) - _penalty(y, sig_inv) / scale
 
     def on_rule(r: QuadratureRule) -> list[float]:
         # a fixed-order sum: a BLAS dot rounds differently with its thread count

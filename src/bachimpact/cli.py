@@ -20,6 +20,7 @@ from . import asymptotics, hedging, market, pricing
 from .config import ExperimentConfig, config_hash, load_config
 from .errors import (
     BachImpactError,
+    ConfigError,
     InvalidTimeError,
     NonFiniteResultError,
     OverflowGuardError,
@@ -37,6 +38,13 @@ def _fmt(value: float, precision: int) -> str:
             f"result {value} is not finite: an input is too large for double precision"
         )
     return f"{value:.{precision}g}"
+
+
+def _fmt_column(col: np.ndarray, precision: int) -> list[str]:
+    """The cells of a result column, as :func:`_fmt` writes them one at a time."""
+    if not np.isfinite(col).all():
+        _fmt(col[~np.isfinite(col)][0], precision)  # raises, naming the value
+    return [f"{value:.{precision}g}" for value in col.tolist()]
 
 
 def _resolve_grid(cfg: ExperimentConfig, lam: float) -> market.TimeGrid:
@@ -139,20 +147,13 @@ def cmd_hedge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     ))
     rows = []
     for lam, batch in zip(cfg.lambdas, batches):
-        for i in range(cfg.n_paths):
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(lam, p),
-                        str(i),
-                        _fmt(batch.terminal_wealth[i], p),
-                        _fmt(batch.payoff_value[i], p),
-                        _fmt(batch.utility_exponent[i], p),
-                        _fmt(batch.cost_integral[i], p),
-                        _fmt(batch.sup_position_norm[i], p),
-                    ]
-                )
-            )
+        cols = [
+            _fmt_column(col, p)
+            for col in (batch.terminal_wealth, batch.payoff_value, batch.utility_exponent,
+                        batch.cost_integral, batch.sup_position_norm)
+        ]
+        lead = _fmt(lam, p)
+        rows.extend(f"{lead},{i}," + ",".join(cells) for i, cells in enumerate(zip(*cols)))
     lines = _header(cfg, resolved)
     lines.append(
         "lam,path,terminal_wealth,payoff_value,utility_exponent,cost_integral,sup_position_norm"
@@ -164,6 +165,8 @@ def cmd_hedge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
 
 def cmd_converge(cfg: ExperimentConfig, out: str | None, quiet: bool) -> int:
     """Certainty equivalent across the impact list against the limit value."""
+    if cfg.n_paths < 2:
+        raise ConfigError(f"numerics.n_paths = {cfg.n_paths}: converge needs at least 2 paths")
     limit = pricing.limit_value(cfg.a_risk, cfg.model, cfg.payoff, cfg.phi0)
     resolved, estimates = _per_impact(cfg, lambda lams, grid: asymptotics.certainty_equivalent_mc(
         cfg.a_risk, lams, cfg.model, cfg.payoff, cfg.phi0,
@@ -222,7 +225,11 @@ class _TanhSelector:
         self.amp, self.freq, self.phase = amp, freq, phase
 
     def __call__(self, w):
-        return self.amp[None, :] * np.tanh(self.freq[None, :] * w + self.phase[None, :])
+        # one column at a time: broadcasting over the length-d rows costs about twice as much
+        out = np.empty(w.shape)
+        for j, (amp, freq, phase) in enumerate(zip(self.amp, self.freq, self.phase)):
+            out[:, j] = amp * np.tanh(freq * w[:, j] + phase)
+        return out
 
 
 class _ZeroSelector:

@@ -8,6 +8,7 @@ spectrum.  Dimensions are desk scale (d <= 4); no attempt at sparsity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -178,6 +179,21 @@ def quad_form(v, m) -> float:
     if v.shape[-1] != m.shape[0] or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"quad_form shapes {v.shape}, {m.shape}")
     return float(v @ m @ v)
+
+
+def row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot (..., d) . (d,) with the bits of ``x @ v``: in d = 1 the 0.0 + x_0 v_0
+    the one-element BLAS call computes (a -0.0 product reads +0.0), without the call."""
+    if v.shape == (1,):
+        return x[..., 0] * v[0] + 0.0
+    return x @ v
+
+
+def row_sq_norms(y: np.ndarray) -> np.ndarray:
+    """Squared row norms of (m, d) ``y``, the squared columns summed left to right: for
+    d <= 7 ``np.add.reduce(y * y, axis=1)`` bit for bit, whose roots are
+    ``np.linalg.norm(y, axis=1)``; from d = 8 numpy sums pairwise and bits can differ."""
+    return functools.reduce(np.add, (col * col for col in y.T))
 
 
 def mat_exp(m: SpdMatrix, scale: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     InvalidTimeError,
     NonFiniteResultError,
 )
-from .linalg import quad_form, row_vec_mul
+from .linalg import quad_form, row_dot, row_vec_mul
 from .market import (
     BachelierModel,
     RidgePayoff,
@@ -159,18 +159,13 @@ def default_quadrature(d: int) -> Optional[QuadratureRule]:
 
 def _basket_price(a_risk, model, payoff, t, x) -> np.ndarray:
     """Closed-form price of the inflated basket call at (m, d) spots."""
-    intrinsic = x @ payoff.a + inflated_strike(payoff, a_risk, model.sigma)
+    intrinsic = row_dot(x, payoff.a) + inflated_strike(payoff, a_risk, model.sigma)
     v = payoff.a @ model.sigma.entries
     scale = math.sqrt(max(model.T - t, 0.0) * float(v @ v))
     if scale == 0.0:
         return np.maximum(intrinsic, 0.0)
     m = intrinsic / scale
     return scale * (m * ndtr(m) + np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi))
-
-
-def _ridge_r(payoff, x) -> np.ndarray:
-    # in d=1 the dot is one multiply; elementwise skips a one-element BLAS call per row
-    return (x[:, 0] * payoff.a[0] if payoff.a.size == 1 else x @ payoff.a) + payoff.b
 
 
 def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
@@ -187,7 +182,7 @@ def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
     so every term is positive and nothing cancels in either tail.
     """
     slopes, levels, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
-    r = _ridge_r(payoff, x)
+    r = row_dot(x, payoff.a) + payoff.b
     g = np.max(r[:, None] * slopes + levels, axis=1)
     s = math.sqrt(model.T - t) * math.hypot(*a_sig)  # no overflow in the squares
     if s == 0.0:  # a = 0: a constant claim
@@ -238,9 +233,7 @@ def _closed_form_delta_factory(a_risk, model, payoff):
         var = float(v @ v)
 
         def basket_delta(t, x):
-            # in d=1 the dot is one multiply; elementwise gives its bits without BLAS
-            xa = x[:, 0] * a[0] if a.size == 1 else x @ a
-            m = (xa + strike) / math.sqrt((model.T - t) * var)
+            m = (row_dot(x, a) + strike) / math.sqrt((model.T - t) * var)
             return ndtr(m)[:, None] * a[None, :]
 
         return basket_delta
@@ -248,7 +241,8 @@ def _closed_form_delta_factory(a_risk, model, payoff):
     jumps, spread = np.diff(slopes), math.hypot(*a_sig)
 
     def ridge_delta(t, x):
-        m = (_ridge_r(payoff, x)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
+        r = row_dot(x, payoff.a) + payoff.b
+        m = (r[:, None] - knots) / (math.sqrt(model.T - t) * spread)
         return (slopes[0] + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
 
     return ridge_delta

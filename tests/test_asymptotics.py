@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from bachimpact import (
     BachelierModel,
     BasketCall,
     DualSpec,
+    InvalidParameterError,
     SingularDenominatorError,
     TimeGrid,
     build_gauss_hermite,
@@ -28,7 +30,7 @@ from bachimpact import (
     optimal_dual_Y,
 )
 from bachimpact.asymptotics import LAM_DESK_FLOOR, _penalty
-from bachimpact.cli import main
+from bachimpact.cli import _TanhSelector, main
 from oracle import zero_claim
 
 DUAL_D4_SIGMA = [1.0, 0.2, 0.1, 0.0, 0.2, 0.8, 0.2, 0.1, 0.1, 0.2, 1.2, 0.3, 0.0, 0.1, 0.3, 0.9]
@@ -80,6 +82,43 @@ DUAL_P17 = {
         "bf3cbc8814b92a2f6ac61d041a59dc6e08bd2b4a6447fd8628761dff0c709325",
     ),
     "desk_d3": (DUAL_D3, "54a5a2654de2118dc5c7ad083e35cae79eacec9882398ba024e3c711f983c7c9"),
+}
+
+# a d = 2 straddle with drift and inventory; its hedge runs the d >= 2 loop
+# (einsum dots, matrix products) that the d = 1 golden runs never reach
+D2_STRADDLE = """
+model.d = 2
+model.s0 = 8.0 7.0
+model.mu = 0.3 -0.2
+model.sigma = 1.0 0.3 0.3 0.8
+model.T = 1.0
+payoff.kind = generic
+payoff.name = straddle
+payoff.a = 0.6 0.4
+payoff.b = -7.6
+impact.a_risk = 1.0
+impact.lambdas = 0.4 0.1 0.03
+hedge.phi0 = 0.2 -0.1
+numerics.n_paths = 700
+numerics.seed = 20260810
+output.precision = 17
+"""
+# d >= 2 engine output at full precision, recorded before the row helpers
+# of bachimpact.linalg replaced the one-element matrix products (``check``
+# prints its report to stdout; the others write a CSV)
+ENGINE_P17 = {
+    "d3-hedge": (
+        "hedge", DUAL_D3, "355492588a51b672101d7c6ee4a31440e2b5e29cc12bc33377b9aa251a23b797",
+    ),
+    "d3-check": (
+        "check", DUAL_D3, "6cbc21e371b8f8b4683d6a19f158ebdb398ac828bf3c81bb6e427ce1cb037285",
+    ),
+    "d2-straddle-dual": (
+        "dual", D2_STRADDLE, "6343274c5975782afbc1d1bbe9bf21723fc667d45ac800236b00a06e4b2463b0",
+    ),
+    "d2-straddle-hedge": (
+        "hedge", D2_STRADDLE, "c39871ca851bf0e43a837c7a3bee5ade24700495732591df723d2e75cb21e8ea",
+    ),
 }
 
 
@@ -140,6 +179,15 @@ class TestCertaintyEquivalent:
             ses.append(est.std_error)
         assert errs[1] <= errs[0] + max(ses[0], ses[1])
         assert errs[2] <= errs[1] + max(ses[1], ses[2])
+
+    @pytest.mark.parametrize("lam", [0.2, [0.4, 0.2]], ids=["one-impact", "two-impacts"])
+    def test_one_path_refused(self, atm_model, atm_call, lam):
+        # one path has no spread to estimate: a standard error of 0 would claim an exact value
+        grid = TimeGrid(n_steps=8, T=1.0)
+        with pytest.raises(InvalidParameterError, match="at least 2 paths"):
+            certainty_equivalent_mc(1.0, lam, atm_model, atm_call, [0.0], 1, grid, 3)
+        est = certainty_equivalent_mc(1.0, 0.2, atm_model, atm_call, [0.0], 2, grid, 3)
+        assert est.n_paths == 2 and est.std_error > 0.0
 
     def test_desk_floor_warning(self, atm_model, atm_call):
         grid = TimeGrid(n_steps=64, T=1.0)
@@ -307,6 +355,49 @@ class TestBatchedDual:
         assert main(["dual", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         _skip_unless_golden_versions(f"the {name} digest")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cli_tanh_selector_keeps_broadcast_bits(self, d):
+        rng = np.random.default_rng(80 + d)
+        amp, freq = rng.uniform(0.1, 2.0, size=d), rng.uniform(0.2, 2.0, size=d)
+        phase = rng.uniform(-1.0, 1.0, size=d)
+        shape = (100_000, d)
+        w = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        expected = amp[None, :] * np.tanh(freq[None, :] * w + phase[None, :])
+        got = _TanhSelector(amp, freq, phase)(w)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "excess,warns", [(1e-6, True), (2e-9, True), (5e-10, False), (0.0, False)],
+        ids=["over-by-1e-6", "over-by-2e-9", "inside-the-slack", "at-the-bound"],
+    )
+    def test_bound_check_warns_as_the_norm_check_did(self, d, excess, warns):
+        rng = np.random.default_rng(90 + d)
+        tanh = _Tanh(rng.uniform(0.1, 2.0, size=d), rng.uniform(0.2, 2.0, size=d),
+                     rng.uniform(-1.0, 1.0, size=d))
+        w = rng.normal(size=(4096, d))
+        worst = float(np.linalg.norm(tanh(w), axis=1).max())
+        bound = worst / (1.0 + excess)
+        spec = DualSpec(h=tanh, bounded=True, bound=bound, name="tanh")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec.displacements(w)
+        # the check as np.linalg.norm made it
+        assert (worst > bound * (1.0 + 1e-9) + 1e-12) == warns
+        assert len(caught) == int(warns)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_P17))
+    def test_d_two_and_three_engine_bytes(self, name, tmp_path, capsys):
+        command, text, digest = ENGINE_P17[name]
+        cfg, out = tmp_path / "engine.cfg", tmp_path / "engine.csv"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        data = capsys.readouterr().out.encode() if command == "check" else out.read_bytes()
+        _skip_unless_golden_versions(f"the {name} digest")
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestOptimalSelector:

@@ -354,13 +354,14 @@ NON_FINITE_RESULT_CASES = [
     ("figure", "model.sigma = 1.0", "model.sigma = 1e155", []),
     ("figure", "payoff.a = 1.0", "payoff.a = 1e300", []),
     ("converge", "model.sigma = 1.0", "model.sigma = 1e155", ["--paths", "16"]),
+    ("hedge", "payoff.a = 1.0", "payoff.a = 1e300", ["--paths", "16"]),
 ]
 
 
 class TestNonFiniteResults:
     @pytest.mark.parametrize(
         "command,line,huge,flags", NON_FINITE_RESULT_CASES,
-        ids=["figure-sigma", "figure-a", "converge-sigma"],
+        ids=["figure-sigma", "figure-a", "converge-sigma", "hedge-a"],
     )
     def test_numeric_failure_writes_nothing(self, command, line, huge, flags, tmp_path, capsys):
         # finite but huge inputs overflow to inf/nan results: exit 2, no rows
@@ -467,6 +468,29 @@ class TestOutOfRangeNumerics:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["config", "--paths"])
+    def test_one_path_converge_refused_before_hedging(self, where, tmp_path, capsys, monkeypatch):
+        # one path gives no standard error; the CSV would print 0, an exact estimate
+        def no_hedging(*args, **kwargs):
+            raise AssertionError("converge hedged before refusing one path")
+
+        monkeypatch.setattr(asymptotics, "run_hedge_batch", no_hedging)
+        cfg, out = tmp_path / "one.cfg", tmp_path / "one.csv"
+        cfg.write_text(MINIMAL + ("numerics.n_paths = 1\n" if where == "config" else ""))
+        flags = ["--paths", "1"] if where == "--paths" else []
+        assert run_cli(["converge", "--config", cfg, "--out", out, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "numerics.n_paths" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_path_hedge_runs(self, tmp_path):
+        cfg, out = tmp_path / "one.cfg", tmp_path / "one.csv"
+        cfg.write_text(MINIMAL + "numerics.n_steps = 8\n")
+        assert run_cli(["hedge", "--config", cfg, "--paths", 1, "--out", out]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) > 1 and {r.split(",")[1] for r in rows[1:]} == {"0"}
 
     def test_largest_seed_accepted(self, tmp_path):
         cfg = tmp_path / "seed.cfg"

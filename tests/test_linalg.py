@@ -18,7 +18,7 @@ from bachimpact import (
     quad_form,
     row_vec_mul,
 )
-from bachimpact.linalg import from_spectrum
+from bachimpact.linalg import from_spectrum, row_dot, row_sq_norms
 
 
 def random_spd(rng, d, scale=1.0):
@@ -184,3 +184,39 @@ class TestInverseAndForms:
     def test_mat_exp_decay(self):
         m = make_spd([[2.0]])
         assert mat_exp(m, -0.5)[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-14)
+
+
+def spread_values(rng, shape):
+    """Random signs and magnitudes spread over 10^-3 .. 10^3."""
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRowHelpers:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_row_dot_keeps_matmul_bits(self, d):
+        rng = np.random.default_rng(60 + d)
+        x, v = spread_values(rng, (100_000, d)), spread_values(rng, d)
+        assert same_bits(row_dot(x, v), x @ v)
+        assert same_bits(row_dot(x[7], v), np.asarray(x[7] @ v))
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1.0])
+    def test_row_dot_keeps_the_sign_of_a_zero(self, v):
+        # a bare multiply would give -0.0 where the matrix product gives +0.0
+        x, v = np.array([[-1.0], [0.0], [-0.0], [2.0]]), np.array([v])
+        assert same_bits(row_dot(x, v), x @ v)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_row_sq_norms_keeps_reduce_bits(self, d):
+        rng = np.random.default_rng(70 + d)
+        y = spread_values(rng, (100_000, d))
+        expected = np.add.reduce(y * y, axis=1)
+        assert same_bits(row_sq_norms(y), expected)
+        assert same_bits(np.sqrt(row_sq_norms(y)), np.linalg.norm(y, axis=1))
+        if d >= 3:
+            # the comparison sees the order: summed right to left, some rows move
+            squares = y * y
+            assert not np.array_equal(squares[:, ::-1].cumsum(axis=1)[:, -1], expected)
