@@ -194,7 +194,7 @@ def dual_lower_bound(
         for s in specs:
             y = s.displacements(w_terminal)
             payoff_vals = np.asarray(payoff.evaluate(base - y), dtype=float)
-            yield payoff_vals + row_dot(y, phi0) - _penalty(y, sig_inv) / scale
+            yield row_dot(y, phi0, payoff_vals) - _penalty(y, sig_inv) / scale
 
     def on_rule(r: QuadratureRule) -> list[float]:
         # a fixed-order sum: a BLAS dot rounds differently with its thread count

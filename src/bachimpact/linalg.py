@@ -181,12 +181,16 @@ def quad_form(v, m) -> float:
     return float(v @ m @ v)
 
 
-def row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot (..., d) . (d,) with the bits of ``x @ v``: in d = 1 the 0.0 + x_0 v_0
-    the one-element BLAS call computes (a -0.0 product reads +0.0), without the call."""
+def row_dot(x: np.ndarray, v: np.ndarray, b) -> np.ndarray:
+    """Row-wise <x, v> + b, (..., d) . (d,), with the bits of ``x @ v + b``.
+
+    In d = 1 it is x_0 v_0 + b, skipping the one-element BLAS call: that
+    call's 0.0 + x_0 v_0 differs from the bare product only in the sign of a
+    zero, which survives the + b only if b is -0.0.
+    """
     if v.shape == (1,):
-        return x[..., 0] * v[0] + 0.0
-    return x @ v
+        return x[..., 0] * v[0] + b
+    return x @ v + b
 
 
 def row_sq_norms(y: np.ndarray) -> np.ndarray:

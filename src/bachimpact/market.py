@@ -106,7 +106,7 @@ class RidgePayoff:
         return RidgePayoff, (self.a, self.b, self.slopes, self.intercepts, self.name)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        r = row_dot(np.asarray(x, dtype=float), self.a) + self.b
+        r = row_dot(np.asarray(x, dtype=float), self.a, self.b)
         if self.is_call:
             return np.maximum(r, 0.0)
         return np.max(r[..., None] * self.slopes + self.intercepts, axis=-1)
@@ -260,14 +260,14 @@ def _sup_convolve_batch(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if payoff.is_call:
         shift = payoff.a @ sigma.entries * math.sqrt(a_risk)
-        inflated = row_dot(x, payoff.a) + inflated_strike(payoff, a_risk, sigma)
+        inflated = row_dot(x, payoff.a, inflated_strike(payoff, a_risk, sigma))
         vals = np.maximum(inflated, 0.0)
         ys = np.where(inflated[:, None] > 0.0, shift[None, :], 0.0)
         return vals, ys
     # piece i attains its sup at y = sqrt(A) s_i a sigma; argmax takes the
     # first, so the smaller slope, at a kink
     slopes, levels, _, a_sig = _ridge_hull(payoff, a_risk, sigma)
-    pieces = (row_dot(x, payoff.a) + payoff.b)[:, None] * slopes + levels
+    pieces = row_dot(x, payoff.a, payoff.b)[:, None] * slopes + levels
     best = np.argmax(pieces, axis=1)
     ys = (math.sqrt(a_risk) * slopes[best])[:, None] * a_sig[None, :]
     return pieces[np.arange(len(x)), best], ys

@@ -159,7 +159,7 @@ def default_quadrature(d: int) -> Optional[QuadratureRule]:
 
 def _basket_price(a_risk, model, payoff, t, x) -> np.ndarray:
     """Closed-form price of the inflated basket call at (m, d) spots."""
-    intrinsic = row_dot(x, payoff.a) + inflated_strike(payoff, a_risk, model.sigma)
+    intrinsic = row_dot(x, payoff.a, inflated_strike(payoff, a_risk, model.sigma))
     v = payoff.a @ model.sigma.entries
     scale = math.sqrt(max(model.T - t, 0.0) * float(v @ v))
     if scale == 0.0:
@@ -182,7 +182,7 @@ def _ridge_price(a_risk, model, payoff, t, x) -> np.ndarray:
     so every term is positive and nothing cancels in either tail.
     """
     slopes, levels, knots, a_sig = _ridge_hull(payoff, a_risk, model.sigma)
-    r = row_dot(x, payoff.a) + payoff.b
+    r = row_dot(x, payoff.a, payoff.b)
     g = np.max(r[:, None] * slopes + levels, axis=1)
     s = math.sqrt(model.T - t) * math.hypot(*a_sig)  # no overflow in the squares
     if s == 0.0:  # a = 0: a constant claim
@@ -233,7 +233,7 @@ def _closed_form_delta_factory(a_risk, model, payoff):
         var = float(v @ v)
 
         def basket_delta(t, x):
-            m = (row_dot(x, a) + strike) / math.sqrt((model.T - t) * var)
+            m = row_dot(x, a, strike) / math.sqrt((model.T - t) * var)
             return ndtr(m)[:, None] * a[None, :]
 
         return basket_delta
@@ -241,8 +241,7 @@ def _closed_form_delta_factory(a_risk, model, payoff):
     jumps, spread = np.diff(slopes), math.hypot(*a_sig)
 
     def ridge_delta(t, x):
-        r = row_dot(x, payoff.a) + payoff.b
-        m = (r[:, None] - knots) / (math.sqrt(model.T - t) * spread)
+        m = (row_dot(x, payoff.a, payoff.b)[:, None] - knots) / (math.sqrt(model.T - t) * spread)
         return (slopes[0] + np.sum(jumps * ndtr(m), axis=1))[:, None] * payoff.a[None, :]
 
     return ridge_delta

@@ -200,14 +200,22 @@ class TestRowHelpers:
     def test_row_dot_keeps_matmul_bits(self, d):
         rng = np.random.default_rng(60 + d)
         x, v = spread_values(rng, (100_000, d)), spread_values(rng, d)
-        assert same_bits(row_dot(x, v), x @ v)
-        assert same_bits(row_dot(x[7], v), np.asarray(x[7] @ v))
+        b = spread_values(rng, 100_000)
+        assert same_bits(row_dot(x, v, b), x @ v + b)
+        assert same_bits(row_dot(x, v, 0.75), x @ v + 0.75)
+        assert same_bits(np.asarray(row_dot(x[7], v, 0.0)), np.asarray(x[7] @ v + 0.0))
 
     @pytest.mark.parametrize("v", [0.0, -0.0, -1.0])
-    def test_row_dot_keeps_the_sign_of_a_zero(self, v):
-        # a bare multiply would give -0.0 where the matrix product gives +0.0
+    def test_row_dot_signs_a_zero_as_the_matrix_product(self, v):
+        # a zero product is -0.0 bare and +0.0 from the matrix product
         x, v = np.array([[-1.0], [0.0], [-0.0], [2.0]]), np.array([v])
-        assert same_bits(row_dot(x, v), x @ v)
+        assert same_bits(row_dot(x, v, 0.0), x @ v + 0.0)
+        zeros = np.zeros(4)
+        assert same_bits(row_dot(x, v, zeros), x @ v + zeros)
+        # the one exception the docstring names: b = -0.0 keeps a -0.0 product
+        bare, blas = row_dot(x, v, -0.0), x @ v + -0.0
+        assert np.array_equal(bare, blas)
+        assert np.array_equal(np.signbit(bare), np.signbit(x[:, 0] * v[0]))
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_row_sq_norms_keeps_reduce_bits(self, d):
