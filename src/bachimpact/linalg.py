@@ -181,7 +181,7 @@ def quad_form(v, m) -> float:
     return float(v @ m @ v)
 
 
-def row_dot(x: np.ndarray, v: np.ndarray, b) -> np.ndarray:
+def row_dot(x: np.ndarray, v: np.ndarray, b: float | np.ndarray) -> np.ndarray:
     """Row-wise <x, v> + b, (..., d) . (d,), with the bits of ``x @ v + b``.
 
     In d = 1 it is x_0 v_0 + b, skipping the one-element BLAS call: that
